@@ -1,8 +1,8 @@
 //! Microbenchmarks of the histogram's core operations: estimation (live
-//! and frozen read path), hole drilling, merge search, the concurrent
-//! serve loop, the poll-based serving engine (coalesced vs single-request
-//! services), durability (delta append, snapshot flush, cold recovery),
-//! and exact range counting (k-d tree vs scan).
+//! and frozen read path), hole drilling, merge search, the poll-based
+//! serving engine (coalesced vs single-request services), registry
+//! routing and publication, durability (delta append, snapshot flush,
+//! cold recovery), and exact range counting (k-d tree vs scan).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -10,7 +10,6 @@ use std::time::Duration;
 use sth_platform::bench::{black_box, Bench};
 use sth_bench::cross_fixture;
 use sth_core::build_uninitialized;
-use sth_eval::{serve_concurrent, ServeConfig};
 use sth_geometry::Rect;
 use sth_index::{RangeCounter, ResultSetCounter, ScanCounter};
 use sth_query::{CardinalityEstimator, Estimator, SelfTuning, WorkloadSpec};
@@ -116,30 +115,6 @@ fn bench_batch_kernel(c: &mut Bench) {
     g.finish();
 }
 
-fn bench_serve_concurrent(c: &mut Bench) {
-    // One full train-while-serving run: trainer refines + republishes,
-    // scope_map readers answer batches from pinned snapshots.
-    let prep = cross_fixture();
-    let wl = WorkloadSpec { count: 160, ..WorkloadSpec::paper(0.01, 11) }
-        .generate(prep.data.domain(), None);
-    let (train, serve) = wl.split_train(96);
-    let mut g = c.benchmark_group("serve_concurrent");
-    g.warm_up_time(Duration::from_millis(500));
-    g.measurement_time(Duration::from_secs(3));
-    g.sample_size(10);
-    for readers in [2usize, 4] {
-        g.bench_function(format!("readers_{readers}"), |b| {
-            let cfg = ServeConfig { readers, batch: 16, republish_every: 24 };
-            b.iter(|| {
-                let mut h = build_uninitialized(&prep.data, 50);
-                let report = serve_concurrent(&mut h, &train, &serve, &*prep.index, &cfg);
-                black_box(report.answered())
-            });
-        });
-    }
-    g.finish();
-}
-
 fn bench_serve_engine(c: &mut Bench) {
     // The poll-based serving engine end to end: spin up the reactor, push
     // a fixed backlog of 4-query requests through the open loop, drain.
@@ -164,7 +139,7 @@ fn bench_serve_engine(c: &mut Bench) {
             let label = if coalesce > 1 { "coalesced" } else { "single" };
             g.bench_function(format!("open_{requests}req_{label}"), |b| {
                 b.iter(|| {
-                    let backend = CellBackend::new(&cell);
+                    let backend = CellBackend::new(std::slice::from_ref(&cell));
                     let (report, ()) = run_open(&backend, &cfg, false, |inj| {
                         for i in 0..requests {
                             let at = (i * 4) % (probes.len() - 4);
@@ -180,12 +155,10 @@ fn bench_serve_engine(c: &mut Bench) {
 }
 
 fn bench_registry_route(c: &mut Bench) {
-    // Multi-tenant routing overhead and sharded-publication cost. The
-    // routed mixed batch is compared against answering the same number of
-    // probes from one pinned tenant view (what routing costs on top of
-    // estimation); the publish rows contrast a clean differential publish
-    // — every shard recognized bit-identical and skipped — with a forced
-    // full refreeze of every shard cell.
+    // Multi-tenant routing overhead and publication cost. The routed
+    // mixed batch is compared against answering the same number of probes
+    // from one tenant's frozen snapshot (what routing costs on top of
+    // estimation); the publish row is one freeze plus one cell swap.
     use sth_eval::{Registry, TenantKey};
     let tenants = 4usize;
     let mut reg = Registry::new();
@@ -207,23 +180,20 @@ fn bench_registry_route(c: &mut Bench) {
     g.bench_function(format!("routed64_tenants_{tenants}"), |b| {
         let mut out = Vec::with_capacity(mixed.len());
         b.iter(|| {
-            reg.estimate_batch_routed(&mixed, &mut out);
+            reg.estimate_batch_routed(&mixed, &mut out).expect("registered tenants");
             black_box(out.len())
         });
     });
     g.bench_function("direct64_single_tenant", |b| {
-        let view = reg.load(0);
+        let snap = reg.load(0);
         let mut out = Vec::with_capacity(single.len());
         b.iter(|| {
-            view.estimate_batch(&single, &mut out);
+            snap.estimate_batch(&single, &mut out);
             black_box(out.len())
         });
     });
-    g.bench_function("publish_differential_clean", |b| {
-        b.iter(|| black_box(reg.publish_with(0, &hists[0], true).shard_skips));
-    });
-    g.bench_function("publish_full_refreeze", |b| {
-        b.iter(|| black_box(reg.publish_with(0, &hists[0], false).shard_publishes));
+    g.bench_function("publish", |b| {
+        b.iter(|| black_box(reg.publish(0, &hists[0])));
     });
     g.finish();
 }
@@ -449,7 +419,6 @@ fn main() {
     bench_estimate(&mut c);
     bench_estimate_frozen(&mut c);
     bench_batch_kernel(&mut c);
-    bench_serve_concurrent(&mut c);
     bench_serve_engine(&mut c);
     bench_registry_route(&mut c);
     bench_store_ops(&mut c);

@@ -7,9 +7,10 @@
 //! ```
 //!
 //! Only the `refine`, `estimate`, `estimate_frozen`, `batch_kernel`,
-//! `serve_concurrent`, `store_ops`, and `obs_overhead` groups are gated —
-//! they are the operations the perf work targets (plus the pinned cost of
-//! disabled telemetry); dataset/index ablations are informational. The default allowance is 30%: fresh runs come from
+//! `serve_engine`, `registry_route`, `store_ops`, and `obs_overhead`
+//! groups are gated — they are the operations the perf work targets (plus
+//! the pinned cost of disabled telemetry); dataset/index ablations are
+//! informational. The default allowance is 30%: fresh runs come from
 //! `STH_BENCH_FAST=1` smoke mode on whatever machine is at hand, so the
 //! gate hunts order-of-magnitude regressions (an accidentally
 //! quadratic merge scan), not single-digit noise.
@@ -23,7 +24,6 @@ const GATED_GROUPS: &[&str] = &[
     "estimate",
     "estimate_frozen",
     "batch_kernel",
-    "serve_concurrent",
     "serve_engine",
     "registry_route",
     "store_ops",

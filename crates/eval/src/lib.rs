@@ -25,14 +25,10 @@ pub use loadgen::{render_load_table, run_load_point, sweep_load, LoadGenConfig, 
 pub use metrics::{
     average_nae, evaluate_self_tuning, evaluate_static, normalized_absolute_error, EmptyWorkload,
 };
-pub use registry::{
-    serve_registry, PublishOutcome, Registry, RegistryServeConfig, RegistryServeReport, TenantKey,
-    TenantRuntime, TenantServeReport, TenantView,
-};
+pub use registry::{Registry, RouteError, TenantKey};
 pub use runner::{run_simulation, sweep, RunConfig, RunOutcome, RunProvenance, Variant};
 pub use serve::{
-    freeze_for_serving, serve_concurrent, serve_durable, DurableServeReport, ServeConfig,
-    ServeReport,
+    serve, DurableOutcome, ServeConfig, ServeReport, TenantReport, TenantRuntime, Trainer,
 };
 // The serving engine and its attribution types moved to `sth-serve`; the
 // eval reports keep exposing them under the old paths.

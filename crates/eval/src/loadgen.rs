@@ -192,7 +192,7 @@ mod tests {
     #[test]
     fn load_point_accounts_for_every_offered_query() {
         let cell = frozen_cell();
-        let backend = CellBackend::new(&cell);
+        let backend = CellBackend::new(std::slice::from_ref(&cell));
         let rects: Vec<Rect> = (0..32)
             .map(|i| {
                 let lo = (i % 8) as f64 * 10.0;

@@ -1,55 +1,27 @@
-//! Multi-tenant histogram registry with sharded publication.
+//! Multi-tenant histogram registry: one published snapshot per tenant.
 //!
 //! The paper's histograms are per-(table, column-set) structures; a
-//! realistic serving tier holds thousands of them behind one surface. The
-//! [`Registry`] owns one tenant per [`TenantKey`], routes mixed-tenant
-//! estimate batches to the right histogram ([`Registry::estimate_batch_routed`],
-//! preserving the estimator zoo's clear-then-fill contract), and publishes
-//! snapshots at *shard* granularity: every tenant's frozen tree is
-//! [shattered](sth_histogram::FrozenHistogram::shatter) into root-level
-//! subtree shards, each living in its own [`SnapshotCell`]. A refine that
-//! only touched one region republishes one shard's cell; clean shards are
-//! detected by bitwise content equality and keep their `Arc` — and their
-//! epoch, which is what the per-shard republish assertions key on.
+//! serving tier holds many of them behind one surface. The [`Registry`]
+//! owns one [`SnapshotCell`] of [`FrozenHistogram`] per [`TenantKey`],
+//! routes mixed-tenant estimate batches to the right snapshot
+//! ([`Registry::estimate_batch_routed`], preserving the estimator zoo's
+//! clear-then-fill contract), and hands all of its cells to the serving
+//! engine as one [`CellBackend`]. Tenant epochs are the cells' own publish
+//! counters: contiguous from 1, one per [`Registry::publish`].
 //!
-//! ## Epochs, three layers of them
-//!
-//! * **Shard epochs** — each shard cell counts its own publishes; a
-//!   skipped (clean) shard's epoch provably does not move.
-//! * **Tenant epochs** — every publication round assembles a fresh
-//!   [`TenantView`] (thin root + pinned shard guards) into the tenant's
-//!   assembly cell, so readers pin one coherent composition with a single
-//!   load and the tenant epoch stays contiguous from 1 — the shape
-//!   [`EpochTimeline`] wants for per-tenant attribution.
-//! * **Composite epochs** — a registry-wide [`EpochClock`] ticks once per
-//!   publication round, totally ordering all tenants' publishes on one
-//!   timeline for the aggregate report.
-//!
-//! [`serve_registry`] drives the whole thing end to end: tenant trainers
-//! run on scoped threads (tenants dealt round-robin across workers; each
-//! turn absorbs a tenant's next slice of training queries and immediately
-//! publishes that dirty tenant), while the [`sth_serve`] engine serves the
-//! mixed-tenant stream — routing each generated batch by tenant
-//! ([`sth_serve::route_batch`]), answering each tenant's requests from one
-//! cached assembly pin (refreshed only when the tenant epoch moves), and
-//! attributing every request to both the tenant epoch and the composite
-//! epoch. Obs counters and latency samples roll up per-tenant and in
-//! aggregate.
+//! Routing is total: a query naming an unknown tenant, or a rect whose
+//! dimensionality differs from its tenant's histogram, is a
+//! [`RouteError`] — never a panic inside the batch kernel and never a
+//! silent zero from the scalar walk.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 use sth_geometry::Rect;
-use sth_histogram::{FrozenShard, StHoles, ThinRoot};
-use sth_index::{RangeCounter, ResultSetCounter};
+use sth_histogram::{FrozenHistogram, StHoles};
 use sth_platform::obs;
-use sth_platform::snap::{EpochClock, SnapshotCell, SnapshotGuard};
-use sth_query::{SelfTuning, Workload};
-use sth_serve::{
-    route_batch, serve_closed, Backend, EngineConfig, EngineStats, EpochTimeline, Pinned,
-    ReaderStats, TenantId,
-};
+use sth_platform::snap::{SnapshotCell, SnapshotGuard};
+use sth_query::Estimator;
+use sth_serve::{route_batch, CellBackend, TenantId};
 
 /// Identity of one histogram tenant: the table it models and the column
 /// subspace (ascending dimension indices) it covers.
@@ -81,110 +53,49 @@ impl std::fmt::Display for TenantKey {
     }
 }
 
-/// One coherent, immutable assembly of a tenant's snapshot: the thin root
-/// plus a pinned guard per shard. Readers obtain it with a single
-/// [`Registry::load`]; the guards keep every shard alive (and remember its
-/// shard epoch) no matter what the trainer republishes meanwhile.
-#[derive(Clone, Debug)]
-pub struct TenantView {
-    root: ThinRoot,
-    shards: Vec<SnapshotGuard<FrozenShard>>,
-    composite_epoch: u64,
+/// Why a query cannot be routed to a tenant's snapshot.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RouteError {
+    /// The query names a tenant id the registry never handed out.
+    UnknownTenant {
+        /// The offending id.
+        tenant: TenantId,
+        /// Tenants registered (valid ids are `0..tenants`).
+        tenants: usize,
+    },
+    /// The query's dimensionality differs from the tenant's histogram.
+    DimensionMismatch {
+        /// The tenant the query was routed to.
+        tenant: TenantId,
+        /// The tenant histogram's dimensionality.
+        expected: usize,
+        /// The query rect's dimensionality.
+        got: usize,
+    },
 }
 
-impl TenantView {
-    fn shard_refs(&self) -> Vec<&FrozenShard> {
-        self.shards.iter().map(|g| &**g).collect()
-    }
-
-    /// Composed scalar estimate — bit-identical to the unsharded
-    /// `FrozenHistogram::estimate` (see `sth_histogram::ThinRoot`).
-    pub fn estimate(&self, q: &Rect) -> f64 {
-        self.root.estimate(&self.shard_refs(), q)
-    }
-
-    /// Composed batch estimate; clears then fills `out`.
-    pub fn estimate_batch(&self, queries: &[Rect], out: &mut Vec<f64>) {
-        self.root.estimate_batch(&self.shard_refs(), queries, out)
-    }
-
-    /// Number of dimensions of the tenant's data space.
-    pub fn ndim(&self) -> usize {
-        self.root.ndim()
-    }
-
-    /// The composite epoch of the publication round that assembled this
-    /// view.
-    pub fn composite_epoch(&self) -> u64 {
-        self.composite_epoch
-    }
-
-    /// Per-shard epochs pinned by this view, shard order.
-    pub fn shard_epochs(&self) -> Vec<u64> {
-        self.shards.iter().map(|g| g.epoch()).collect()
-    }
-
-    /// Structural audit of the assembly: shard count matches the root and
-    /// every shard passes its own snapshot invariants. Serve readers run
-    /// this under `STH_AUDIT=1`.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        if self.shards.len() != self.root.shard_count() {
-            return Err(format!(
-                "view holds {} shards, root lists {}",
-                self.shards.len(),
-                self.root.shard_count()
-            ));
+impl std::fmt::Display for RouteError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RouteError::UnknownTenant { tenant, tenants } => {
+                write!(f, "unknown tenant {tenant} (registry holds {tenants})")
+            }
+            RouteError::DimensionMismatch { tenant, expected, got } => {
+                write!(f, "tenant {tenant} is {expected}-d but the query is {got}-d")
+            }
         }
-        for (k, shard) in self.shards.iter().enumerate() {
-            shard.check_invariants().map_err(|e| format!("shard {k}: {e}"))?;
-        }
-        Ok(())
     }
 }
 
-/// What one publication round did, per shard cell.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PublishOutcome {
-    /// The tenant's new assembly epoch.
-    pub tenant_epoch: u64,
-    /// The registry-wide composite epoch of this round.
-    pub composite_epoch: u64,
-    /// Shard cells that received a new snapshot.
-    pub shard_publishes: u64,
-    /// Shard cells skipped because their content was bit-identical.
-    pub shard_skips: u64,
-    /// Shards in the new assembly.
-    pub shards_total: usize,
-    /// Per-shard epochs after the round, shard order.
-    pub shard_epochs: Vec<u64>,
-}
-
-/// The single-writer half of a tenant: the shard cells, matched
-/// positionally round to round. A refine can insert or remove root-level
-/// children, shifting positions — that only costs spurious republishes,
-/// never correctness, because the assembly always re-pins every shard.
-struct TenantPublisher {
-    shard_cells: Vec<SnapshotCell<FrozenShard>>,
-}
-
-struct Tenant {
-    key: TenantKey,
-    cell: SnapshotCell<TenantView>,
-    publisher: Mutex<TenantPublisher>,
-}
+impl std::error::Error for RouteError {}
 
 /// The multi-tenant histogram registry. See the module docs.
 #[derive(Default)]
 pub struct Registry {
-    tenants: Vec<Tenant>,
+    keys: Vec<TenantKey>,
+    ndims: Vec<usize>,
+    cells: Vec<SnapshotCell<FrozenHistogram>>,
     by_key: BTreeMap<TenantKey, TenantId>,
-    clock: EpochClock,
-}
-
-/// Whether sharded (differential) publication is enabled. `STH_SHARD_PUBLISH=0`
-/// downgrades every round to a full refreeze — all shard cells republish.
-fn shard_publish_enabled() -> bool {
-    std::env::var("STH_SHARD_PUBLISH").map_or(true, |v| v != "0")
 }
 
 impl Registry {
@@ -193,107 +104,42 @@ impl Registry {
         Self::default()
     }
 
-    /// Registers a tenant at its initial histogram state. The initial
-    /// assembly and every shard start at epoch 1 (the [`SnapshotCell`]
-    /// convention); composite epoch 1 denotes "registered, never
-    /// republished".
+    /// Registers a tenant at its initial histogram state, published at
+    /// epoch 1 (the [`SnapshotCell`] convention).
     ///
     /// Panics on a duplicate key — tenant identity is the registry's one
     /// uniqueness invariant.
     pub fn register(&mut self, key: TenantKey, hist: &StHoles) -> TenantId {
-        assert!(
-            !self.by_key.contains_key(&key),
-            "tenant {key} is already registered"
-        );
-        let (root, shards) = hist.freeze().shatter().into_parts();
-        let shard_cells: Vec<SnapshotCell<FrozenShard>> =
-            shards.into_iter().map(SnapshotCell::new).collect();
-        let view = TenantView {
-            root,
-            shards: shard_cells.iter().map(|c| c.load()).collect(),
-            composite_epoch: self.clock.now(),
-        };
-        let id = self.tenants.len();
-        self.tenants.push(Tenant {
-            key: key.clone(),
-            cell: SnapshotCell::new(view),
-            publisher: Mutex::new(TenantPublisher { shard_cells }),
-        });
+        assert!(!self.by_key.contains_key(&key), "tenant {key} is already registered");
+        let id = self.cells.len();
+        self.ndims.push(Estimator::ndim(hist));
+        self.cells.push(SnapshotCell::new(hist.freeze()));
+        self.keys.push(key.clone());
         self.by_key.insert(key, id);
         id
     }
 
-    /// Publishes the tenant's current histogram state, honoring the
-    /// `STH_SHARD_PUBLISH` gate. See [`Registry::publish_with`].
-    pub fn publish(&self, id: TenantId, hist: &StHoles) -> PublishOutcome {
-        self.publish_with(id, hist, shard_publish_enabled())
-    }
-
-    /// Publishes the tenant's current histogram state. With `differential`
-    /// set, shards whose content is bit-identical to the published
-    /// snapshot are skipped (their cell — and epoch — untouched); without
-    /// it every shard republishes, the full-refreeze baseline the
-    /// `registry_route` bench compares against.
-    ///
-    /// One mutex per tenant serializes concurrent publishers, so shard
-    /// epochs and the assembly epoch always move together and monotonely.
-    pub fn publish_with(&self, id: TenantId, hist: &StHoles, differential: bool) -> PublishOutcome {
-        let tenant = &self.tenants[id];
-        let (root, shards) = hist.freeze().shatter().into_parts();
-        let mut publisher =
-            tenant.publisher.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        let shards_total = shards.len();
-        let mut shard_publishes = 0u64;
-        let mut shard_skips = 0u64;
-        for (k, shard) in shards.into_iter().enumerate() {
-            match publisher.shard_cells.get(k) {
-                Some(cell) => {
-                    if differential && cell.load().content_eq(&shard) {
-                        shard_skips += 1;
-                    } else {
-                        cell.publish(shard);
-                        shard_publishes += 1;
-                    }
-                }
-                None => {
-                    // A new root-level child appeared: a fresh cell.
-                    publisher.shard_cells.push(SnapshotCell::new(shard));
-                    shard_publishes += 1;
-                }
-            }
-        }
-        publisher.shard_cells.truncate(shards_total);
-        obs::add(obs::Counter::ShardPublishes, shard_publishes);
-        obs::add(obs::Counter::ShardPublishesSkipped, shard_skips);
-
-        let shard_epochs: Vec<u64> = publisher.shard_cells.iter().map(|c| c.epoch()).collect();
-        let composite_epoch = self.clock.tick();
-        let view = TenantView {
-            root,
-            shards: publisher.shard_cells.iter().map(|c| c.load()).collect(),
-            composite_epoch,
-        };
-        // Published while the publisher mutex is still held, so a second
-        // publisher cannot interleave an older assembly after a newer one.
-        let tenant_epoch = tenant.cell.publish(view);
-        PublishOutcome {
-            tenant_epoch,
-            composite_epoch,
-            shard_publishes,
-            shard_skips,
-            shards_total,
-            shard_epochs,
-        }
+    /// Publishes the tenant's current histogram state and returns the new
+    /// tenant epoch. Concurrent publishers are safe: the cell bumps its
+    /// epoch under its write lock, so epochs stay unique and monotone.
+    pub fn publish(&self, id: TenantId, hist: &StHoles) -> u64 {
+        assert_eq!(
+            Estimator::ndim(hist),
+            self.ndims[id],
+            "tenant {} cannot change dimensionality",
+            self.keys[id]
+        );
+        self.cells[id].publish(hist.freeze())
     }
 
     /// Number of registered tenants.
     pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
+        self.cells.len()
     }
 
     /// The key of a registered tenant.
     pub fn key(&self, id: TenantId) -> &TenantKey {
-        &self.tenants[id].key
+        &self.keys[id]
     }
 
     /// Looks a tenant up by key.
@@ -301,441 +147,70 @@ impl Registry {
         self.by_key.get(key).copied()
     }
 
-    /// Pins the tenant's current assembly.
-    pub fn load(&self, id: TenantId) -> SnapshotGuard<TenantView> {
-        self.tenants[id].cell.load()
+    /// Pins the tenant's current snapshot.
+    pub fn load(&self, id: TenantId) -> SnapshotGuard<FrozenHistogram> {
+        self.cells[id].load()
     }
 
-    /// Pins the tenant's current assembly only if its epoch differs from
-    /// `seen` (`seen = 0` always pins) — the engine's pin-cache refresh.
-    pub fn load_if_newer(&self, id: TenantId, seen: u64) -> Option<SnapshotGuard<TenantView>> {
-        self.tenants[id].cell.load_if_newer(seen)
-    }
-
-    /// The tenant's current assembly epoch.
+    /// The tenant's current epoch (1 + publishes since registration).
     pub fn tenant_epoch(&self, id: TenantId) -> u64 {
-        self.tenants[id].cell.epoch()
+        self.cells[id].epoch()
     }
 
-    /// The tenant's current per-shard epochs, shard order.
-    pub fn shard_epochs(&self, id: TenantId) -> Vec<u64> {
-        let publisher =
-            self.tenants[id].publisher.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        publisher.shard_cells.iter().map(|c| c.epoch()).collect()
+    /// Every tenant's cell as one serving-engine backend: engine tenant
+    /// `t` is registry tenant `t`.
+    pub fn backend(&self) -> CellBackend<'_> {
+        CellBackend::new(&self.cells)
     }
 
-    /// The registry-wide composite epoch (reading of the shared clock).
-    pub fn composite_epoch(&self) -> u64 {
-        self.clock.now()
+    /// Checks that `q` can be routed to tenant `id`: the tenant exists and
+    /// its histogram has `q`'s dimensionality.
+    pub fn check_route(&self, id: TenantId, q: &Rect) -> Result<(), RouteError> {
+        let expected = *self
+            .ndims
+            .get(id)
+            .ok_or(RouteError::UnknownTenant { tenant: id, tenants: self.tenant_count() })?;
+        if q.ndim() != expected {
+            return Err(RouteError::DimensionMismatch { tenant: id, expected, got: q.ndim() });
+        }
+        Ok(())
     }
 
     /// Routes a mixed-tenant batch: splits by tenant, pins each tenant's
-    /// view once, answers each sub-batch through the composed batch path
+    /// snapshot once, answers each sub-batch through the batch path
     /// (kernel-sized sub-batches ride the lane kernel), and scatters the
     /// results back in input order. Clears then fills `out`.
+    ///
+    /// Every query is checked with [`Registry::check_route`] before any is
+    /// answered; on error `out` is left empty.
     ///
     /// Bit-identical to estimating each query alone against its tenant:
     /// the batch kernel is proven per-query bit-identical to the scalar
     /// walk, so no grouping decision can move an estimate's bits.
-    pub fn estimate_batch_routed(&self, batch: &[(TenantId, Rect)], out: &mut Vec<f64>) {
-        obs::incr(obs::Counter::RegistryRoutes);
+    pub fn estimate_batch_routed(
+        &self,
+        batch: &[(TenantId, Rect)],
+        out: &mut Vec<f64>,
+    ) -> Result<(), RouteError> {
         out.clear();
+        for (id, q) in batch {
+            self.check_route(*id, q)?;
+        }
+        obs::incr(obs::Counter::RegistryRoutes);
         out.resize(batch.len(), 0.0);
         let mut rects = Vec::new();
         let mut sub = Vec::new();
         for (id, idxs) in route_batch(batch) {
-            let view = self.load(id);
+            let snap = self.load(id);
             rects.clear();
             rects.extend(idxs.iter().map(|&j| batch[j].1.clone()));
-            view.estimate_batch(&rects, &mut sub);
+            snap.estimate_batch(&rects, &mut sub);
             for (&j, v) in idxs.iter().zip(&sub) {
                 out[j] = *v;
             }
         }
+        Ok(())
     }
-}
-
-/// The registry as an engine backend: one tenant per assembly cell, pins
-/// refreshed via [`Registry::load_if_newer`], routing marks counted per
-/// generated batch.
-struct RegistryBackend<'a> {
-    registry: &'a Registry,
-}
-
-impl Backend for RegistryBackend<'_> {
-    type Pinned = TenantPin;
-
-    fn tenant_count(&self) -> usize {
-        self.registry.tenant_count()
-    }
-
-    fn repin(&self, tenant: TenantId, seen: u64) -> Option<TenantPin> {
-        self.registry.load_if_newer(tenant, seen).map(TenantPin)
-    }
-
-    fn mark_route(&self) {
-        obs::incr(obs::Counter::RegistryRoutes);
-    }
-}
-
-/// A pinned tenant assembly — newtype over the guard because the orphan
-/// rule won't let this crate implement the foreign [`Pinned`] trait
-/// directly on the foreign [`SnapshotGuard`] wrapper.
-struct TenantPin(SnapshotGuard<TenantView>);
-
-impl Pinned for TenantPin {
-    fn epoch(&self) -> u64 {
-        self.0.epoch()
-    }
-
-    fn composite_epoch(&self) -> u64 {
-        TenantView::composite_epoch(&self.0)
-    }
-
-    fn estimate_batch(&self, queries: &[Rect], out: &mut Vec<f64>) {
-        TenantView::estimate_batch(&self.0, queries, out)
-    }
-
-    fn check_invariants(&self) -> Result<(), String> {
-        TenantView::check_invariants(&self.0)
-    }
-}
-
-/// Everything [`serve_registry`] needs to drive one tenant: identity,
-/// trainable histogram, its workloads, and its feedback oracle.
-pub struct TenantRuntime {
-    /// Tenant identity.
-    pub key: TenantKey,
-    /// The mutable histogram the tenant's trainer refines.
-    pub hist: StHoles,
-    /// Training workload (refined, single-probe feedback discipline).
-    pub train: Workload,
-    /// Serving workload (estimated by the readers).
-    pub serve: Workload,
-    /// Feedback oracle for the training workload.
-    pub counter: Arc<dyn RangeCounter + Send + Sync>,
-}
-
-/// Knobs for [`serve_registry`].
-#[derive(Clone, Debug)]
-pub struct RegistryServeConfig {
-    /// Logical reader streams, multiplexed over the engine's thread pool
-    /// (at most `min(readers, worker_count)` threads by default).
-    pub readers: usize,
-    /// Mixed-stream queries per generated stream batch.
-    pub batch: usize,
-    /// Training queries a trainer absorbs per tenant turn before
-    /// publishing that tenant.
-    pub republish_every: usize,
-    /// Trainer workers the tenants are dealt across (also bounded by the
-    /// pool's worker count).
-    pub trainer_workers: usize,
-}
-
-impl Default for RegistryServeConfig {
-    fn default() -> Self {
-        Self { readers: 4, batch: 32, republish_every: 25, trainer_workers: 2 }
-    }
-}
-
-/// One tenant's rollup out of a [`serve_registry`] run.
-#[derive(Clone, Debug)]
-pub struct TenantServeReport {
-    /// Tenant identity.
-    pub key: TenantKey,
-    /// Publication rounds the trainer ran (excluding registration).
-    pub publishes: u64,
-    /// Final assembly epoch (= 1 + publishes).
-    pub final_epoch: u64,
-    /// Shard cells republished across all rounds.
-    pub shard_publishes: u64,
-    /// Shard republishes skipped as bit-identical.
-    pub shard_skips: u64,
-    /// Per-shard epochs at the end of the run.
-    pub shard_epochs: Vec<u64>,
-    /// Estimates answered for this tenant across all readers.
-    pub answered: u64,
-    /// Sub-batches routed to this tenant.
-    pub batches: u64,
-    /// The tenant trainer's obs delta (refine-side work only; reader-side
-    /// work is not separable per tenant and rolls up in the aggregate).
-    pub trainer_counters: obs::Snapshot,
-    /// Per-tenant-epoch serving activity, epochs 1..=`final_epoch`.
-    pub timeline: EpochTimeline,
-}
-
-/// Outcome of one [`serve_registry`] run.
-#[derive(Clone, Debug)]
-pub struct RegistryServeReport {
-    /// Per-tenant rollups, tenant-id order.
-    pub tenants: Vec<TenantServeReport>,
-    /// Per-reader tallies (epochs here are *composite* epochs).
-    pub readers: Vec<ReaderStats>,
-    /// Counters and stats for the whole run (trainers + readers, merged
-    /// deterministically).
-    pub counters: obs::Snapshot,
-    /// Final composite epoch (total publication rounds + 1).
-    pub composite_final: u64,
-    /// Aggregate serving activity on the composite-epoch timeline.
-    pub composite_timeline: EpochTimeline,
-    /// How the engine ran: services, coalescing, pin cache hits, sheds.
-    pub engine: EngineStats,
-    /// Estimates shed by deadline admission control, per tenant (all zero
-    /// unless `STH_SERVE_DEADLINE_US` is set).
-    pub shed_by_tenant: Vec<u64>,
-}
-
-impl RegistryServeReport {
-    /// Total estimates answered across all tenants.
-    pub fn answered(&self) -> u64 {
-        self.tenants.iter().map(|t| t.answered).sum()
-    }
-
-    /// Total sub-batches served across all tenants.
-    pub fn batches(&self) -> u64 {
-        self.tenants.iter().map(|t| t.batches).sum()
-    }
-}
-
-/// Per-tenant publication totals a trainer worker accumulates.
-#[derive(Default)]
-struct TrainerTotals {
-    publishes: u64,
-    shard_publishes: u64,
-    shard_skips: u64,
-    counters: obs::Snapshot,
-}
-
-/// Trainer-liveness drop guard: the last trainer worker to exit — by
-/// finishing *or by panicking* — raises the engine's done flag. Without
-/// the drop guarantee, a panicking trainer would leave the engine polling
-/// the last assemblies forever.
-struct TrainerLive<'a> {
-    live: &'a AtomicU64,
-    done: &'a AtomicBool,
-}
-
-impl Drop for TrainerLive<'_> {
-    fn drop(&mut self) {
-        if self.live.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.done.store(true, Ordering::Release);
-        }
-    }
-}
-
-/// Registers every runtime into `registry`, then trains all tenants while
-/// concurrently serving a mixed-tenant estimate stream.
-///
-/// Trainers: the tenants are dealt round-robin across
-/// [`RegistryServeConfig::trainer_workers`] pool workers; each worker
-/// cycles through its tenants, absorbing up to `republish_every` training
-/// queries per turn (the same single-probe feedback discipline as
-/// [`crate::serve_concurrent`]) and publishing the dirty tenant before
-/// moving on — so publication pressure follows refinement pressure.
-/// A tenant's final state is always published by its last turn.
-///
-/// Serving: the per-tenant serve workloads are interleaved round-robin
-/// into one mixed stream and handed to the [`sth_serve`] engine — each
-/// generated batch is routed by tenant, answered from cached assembly
-/// pins (refreshed when the tenant epoch moves), and attributed to both
-/// the tenant epoch and the composite epoch.
-pub fn serve_registry(
-    registry: &mut Registry,
-    runtimes: Vec<TenantRuntime>,
-    cfg: &RegistryServeConfig,
-) -> RegistryServeReport {
-    assert!(registry.tenant_count() == 0, "serve_registry wants a fresh registry");
-    assert!(!runtimes.is_empty(), "serve_registry needs at least one tenant");
-    assert!(cfg.readers >= 1, "serve_registry needs at least one reader");
-    assert!(cfg.batch >= 1, "serve_registry needs a non-empty batch");
-    assert!(cfg.republish_every >= 1);
-    assert!(cfg.trainer_workers >= 1);
-
-    let _span = obs::span("eval.serve_registry");
-
-    // Register every tenant and build the mixed serve stream (round-robin
-    // interleave of the per-tenant serve workloads).
-    let mut per_tenant: Vec<(TenantId, TenantRuntime)> = Vec::with_capacity(runtimes.len());
-    let mut serve_rects: Vec<Vec<Rect>> = Vec::with_capacity(runtimes.len());
-    for rt in runtimes {
-        assert!(!rt.serve.is_empty(), "tenant {} has nothing to serve", rt.key);
-        let id = registry.register(rt.key.clone(), &rt.hist);
-        serve_rects.push(rt.serve.queries().iter().map(|q| q.rect().clone()).collect());
-        per_tenant.push((id, rt));
-    }
-    let longest = serve_rects.iter().map(|r| r.len()).max().unwrap_or(0);
-    let mut stream: Vec<(TenantId, Rect)> = Vec::new();
-    for round in 0..longest {
-        for (id, rects) in serve_rects.iter().enumerate() {
-            if let Some(r) = rects.get(round) {
-                stream.push((id, r.clone()));
-            }
-        }
-    }
-
-    // Deal tenants round-robin across trainer workers; each worker owns
-    // its bucket outright (the mutex is uncontended — it only exists to
-    // move mutable runtimes into the scoped closure).
-    let workers = cfg.trainer_workers.min(per_tenant.len());
-    let mut buckets: Vec<Mutex<Vec<(TenantId, TenantRuntime)>>> =
-        (0..workers).map(|_| Mutex::new(Vec::new())).collect();
-    for (i, entry) in per_tenant.into_iter().enumerate() {
-        buckets[i % workers].get_mut().unwrap().push(entry);
-    }
-
-    let done = AtomicBool::new(false);
-    let readers_started = AtomicU64::new(0);
-    let trainers_live = AtomicU64::new(workers as u64);
-    let registry_ref = &*registry;
-
-    let (trainer_outcomes, run) = std::thread::scope(|s| {
-        let trainer_handles: Vec<_> = buckets
-            .iter()
-            .map(|bucket| {
-                s.spawn(|| {
-                    let _flight = obs::flight::FlightDump::new("registry trainer");
-                    // Raise the done flag when the last worker exits —
-                    // even on panic, so the engine never hangs.
-                    let _live = TrainerLive { live: &trainers_live, done: &done };
-                    // Hold the epoch-1 assemblies until the engine is
-                    // live (same guarantee as `serve_concurrent`).
-                    while readers_started.load(Ordering::Acquire) == 0 {
-                        std::thread::yield_now();
-                    }
-                    let mut mine =
-                        bucket.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-                    let mut totals: BTreeMap<TenantId, TrainerTotals> = BTreeMap::new();
-                    let mut cursors = vec![0usize; mine.len()];
-                    let mut result = ResultSetCounter::empty(1);
-                    loop {
-                        let mut progressed = false;
-                        for (slot, (id, rt)) in mine.iter_mut().enumerate() {
-                            let queries = rt.train.queries();
-                            if cursors[slot] >= queries.len() {
-                                continue;
-                            }
-                            progressed = true;
-                            let obs_before = obs::snapshot();
-                            let end = (cursors[slot] + cfg.republish_every).min(queries.len());
-                            for q in &queries[cursors[slot]..end] {
-                                if result.refill_from_counter(rt.counter.as_ref(), q.rect()) {
-                                    let truth = result.total() as f64;
-                                    rt.hist.refine_with_truth(q.rect(), &result, truth);
-                                } else {
-                                    rt.hist.refine(q.rect(), rt.counter.as_ref());
-                                }
-                            }
-                            cursors[slot] = end;
-                            let outcome = registry_ref.publish(*id, &rt.hist);
-                            let t = totals.entry(*id).or_default();
-                            t.publishes += 1;
-                            t.shard_publishes += outcome.shard_publishes;
-                            t.shard_skips += outcome.shard_skips;
-                            t.counters.merge(&obs::snapshot().delta(&obs_before));
-                        }
-                        if !progressed {
-                            break;
-                        }
-                    }
-                    // Tenants with empty training workloads still produce
-                    // a totals row so the report covers every tenant.
-                    for (id, _) in mine.iter() {
-                        totals.entry(*id).or_default();
-                    }
-                    totals
-                })
-            })
-            .collect();
-
-        let backend = RegistryBackend { registry: registry_ref };
-        let run = serve_closed(
-            &backend,
-            &stream,
-            cfg.readers,
-            cfg.batch,
-            &EngineConfig::from_env(),
-            &done,
-            &readers_started,
-        );
-        let trainer_outcomes: Vec<BTreeMap<TenantId, TrainerTotals>> = trainer_handles
-            .into_iter()
-            .map(|h| h.join().expect("registry trainer worker panicked"))
-            .collect();
-        (trainer_outcomes, run)
-    });
-
-    // Roll up: per-tenant totals (each tenant lives in exactly one
-    // worker's map), aggregate counters, both timeline layers.
-    let mut totals: BTreeMap<TenantId, TrainerTotals> = BTreeMap::new();
-    for map in trainer_outcomes {
-        for (id, t) in map {
-            debug_assert!(!totals.contains_key(&id), "tenant {id} trained twice");
-            totals.insert(id, t);
-        }
-    }
-    let mut counters = run.obs;
-    let mut tenant_maps = run.tenant_rows;
-
-    let mut tenants = Vec::with_capacity(registry.tenant_count());
-    for id in 0..registry.tenant_count() {
-        let t = totals.remove(&id).unwrap_or_default();
-        counters.merge(&t.counters);
-        let final_epoch = registry.tenant_epoch(id);
-        let maps = std::mem::take(&mut tenant_maps[id]);
-        let (answered, batches) =
-            maps.iter().flat_map(|m| m.values()).fold((0, 0), |(a, b), row| {
-                (a + row.answered, b + row.batches)
-            });
-        tenants.push(TenantServeReport {
-            key: registry.key(id).clone(),
-            publishes: t.publishes,
-            final_epoch,
-            shard_publishes: t.shard_publishes,
-            shard_skips: t.shard_skips,
-            shard_epochs: registry.shard_epochs(id),
-            answered,
-            batches,
-            trainer_counters: t.counters,
-            timeline: EpochTimeline::assemble(final_epoch, maps, BTreeMap::new()),
-        });
-    }
-
-    let composite_final = registry.composite_epoch();
-    let report = RegistryServeReport {
-        tenants,
-        readers: run.streams,
-        counters,
-        composite_final,
-        composite_timeline: EpochTimeline::assemble(
-            composite_final,
-            run.composite_rows,
-            BTreeMap::new(),
-        ),
-        engine: run.stats,
-        shed_by_tenant: run.shed,
-    };
-    if obs::event_enabled() {
-        obs::event(
-            "serve_registry",
-            &[
-                ("tenants", obs::FieldValue::Int(report.tenants.len() as u64)),
-                ("readers", obs::FieldValue::Int(report.readers.len() as u64)),
-                ("composite_final", obs::FieldValue::Int(report.composite_final)),
-                ("answered", obs::FieldValue::Int(report.answered())),
-                (
-                    "shard_publishes",
-                    obs::FieldValue::Int(report.tenants.iter().map(|t| t.shard_publishes).sum()),
-                ),
-                (
-                    "shard_skips",
-                    obs::FieldValue::Int(report.tenants.iter().map(|t| t.shard_skips).sum()),
-                ),
-                ("obs", obs::FieldValue::Raw(&report.counters.to_json())),
-                ("timeline", obs::FieldValue::Raw(&report.composite_timeline.to_json())),
-            ],
-        );
-    }
-    report
 }
 
 #[cfg(test)]
@@ -743,28 +218,22 @@ mod tests {
     use super::*;
     use sth_data::cross::CrossSpec;
     use sth_index::KdCountTree;
-    use sth_query::{CardinalityEstimator, WorkloadSpec};
+    use sth_query::{CardinalityEstimator, SelfTuning, WorkloadSpec};
 
-    fn tenant_fixture(seed: u64) -> (StHoles, Workload, Workload, Arc<KdCountTree>) {
+    fn trained(seed: u64, queries: usize) -> StHoles {
         let data = CrossSpec::cross2d().scaled(0.04).generate();
-        let index = Arc::new(KdCountTree::build(&data));
+        let index = KdCountTree::build(&data);
         let wl = WorkloadSpec::paper(0.01, seed).generate(data.domain(), None);
-        let (train, serve) = wl.split_train(wl.len() / 2);
-        let hist = sth_core::build_uninitialized(&data, 48);
-        (hist, train, serve, index)
-    }
-
-    fn trained(seed: u64, queries: usize) -> (StHoles, Arc<KdCountTree>, Workload) {
-        let (mut hist, train, serve, index) = tenant_fixture(seed);
-        for q in train.queries().iter().take(queries) {
-            hist.refine(q.rect(), index.as_ref());
+        let mut hist = sth_core::build_uninitialized(&data, 48);
+        for q in wl.queries().iter().take(queries) {
+            hist.refine(q.rect(), &index);
         }
-        (hist, index, serve)
+        hist
     }
 
     #[test]
     fn register_and_lookup() {
-        let (hist, ..) = trained(11, 10);
+        let hist = trained(11, 10);
         let mut reg = Registry::new();
         let a = reg.register(TenantKey::new("orders", vec![0, 1]), &hist);
         let b = reg.register(TenantKey::new("orders", vec![0, 2]), &hist);
@@ -774,70 +243,18 @@ mod tests {
         assert_eq!(reg.id_of(&TenantKey::new("orders", vec![9])), None);
         assert_eq!(reg.key(a).to_string(), "orders[0,1]");
         assert_eq!(reg.tenant_epoch(a), 1);
-        assert!(reg.shard_epochs(a).iter().all(|&e| e == 1));
-        assert_eq!(reg.composite_epoch(), 1);
+        assert_eq!(reg.publish(a, &hist), 2);
+        assert_eq!(reg.tenant_epoch(a), 2);
+        assert_eq!(reg.tenant_epoch(b), 1, "publishing one tenant leaves the others alone");
     }
 
     #[test]
     #[should_panic(expected = "already registered")]
     fn duplicate_key_panics() {
-        let (hist, ..) = trained(11, 5);
+        let hist = trained(11, 5);
         let mut reg = Registry::new();
         reg.register(TenantKey::new("t", vec![0]), &hist);
         reg.register(TenantKey::new("t", vec![0]), &hist);
-    }
-
-    #[test]
-    fn clean_republish_skips_every_shard() {
-        let (hist, ..) = trained(13, 20);
-        let mut reg = Registry::new();
-        let id = reg.register(TenantKey::new("t", vec![0, 1]), &hist);
-        let before = reg.shard_epochs(id);
-        assert!(!before.is_empty(), "trained histogram should have root children");
-        let outcome = reg.publish(id, &hist);
-        assert_eq!(outcome.shard_publishes, 0, "identical content must skip");
-        assert_eq!(outcome.shard_skips as usize, before.len());
-        assert_eq!(outcome.shard_epochs, before, "skipped shards keep their epochs");
-        assert_eq!(outcome.tenant_epoch, 2, "the assembly still republishes");
-        assert_eq!(outcome.composite_epoch, 2);
-    }
-
-    #[test]
-    fn single_region_refine_republishes_only_dirty_shards() {
-        let (mut hist, index, _) = trained(17, 30);
-        let mut reg = Registry::new();
-        let id = reg.register(TenantKey::new("t", vec![0, 1]), &hist);
-        let before = reg.shard_epochs(id);
-        assert!(before.len() >= 2, "need several root children, got {}", before.len());
-
-        // Refine repeatedly inside one small region: only the subtree(s)
-        // covering it can change.
-        let corner = Rect::from_bounds(&[1.0, 1.0], &[4.0, 4.0]);
-        for _ in 0..5 {
-            hist.refine(&corner, index.as_ref());
-        }
-        let outcome = reg.publish(id, &hist);
-        assert!(
-            outcome.shard_skips >= 1,
-            "a localized refine must leave some shard untouched: {outcome:?}"
-        );
-        let after = reg.shard_epochs(id);
-        let kept = before
-            .iter()
-            .zip(&after)
-            .filter(|(b, a)| a == b)
-            .count();
-        assert!(kept >= 1, "some shard epoch must survive: {before:?} -> {after:?}");
-    }
-
-    #[test]
-    fn full_refreeze_mode_republishes_everything() {
-        let (hist, ..) = trained(19, 20);
-        let mut reg = Registry::new();
-        let id = reg.register(TenantKey::new("t", vec![0, 1]), &hist);
-        let outcome = reg.publish_with(id, &hist, false);
-        assert_eq!(outcome.shard_skips, 0);
-        assert_eq!(outcome.shard_publishes as usize, outcome.shards_total);
     }
 
     #[test]
@@ -845,7 +262,7 @@ mod tests {
         let mut reg = Registry::new();
         let mut frozen = Vec::new();
         for seed in [23u64, 29, 31] {
-            let (hist, ..) = trained(seed, 25);
+            let hist = trained(seed, 25);
             reg.register(TenantKey::new(format!("t{seed}"), vec![0, 1]), &hist);
             frozen.push(hist.freeze());
         }
@@ -856,163 +273,32 @@ mod tests {
             batch.push((i % 3, Rect::from_bounds(&[lo, lo * 0.3], &[lo + 20.0, lo * 0.3 + 30.0])));
         }
         let mut routed = vec![f64::NAN; 2]; // stale garbage: must clear
-        reg.estimate_batch_routed(&batch, &mut routed);
+        reg.estimate_batch_routed(&batch, &mut routed).expect("valid batch");
         assert_eq!(routed.len(), batch.len());
         for (j, (id, q)) in batch.iter().enumerate() {
             let direct = frozen[*id].estimate(q);
-            assert_eq!(
-                routed[j].to_bits(),
-                direct.to_bits(),
-                "query {j} (tenant {id}) drifted"
-            );
-            let view = reg.load(*id);
-            assert_eq!(view.estimate(q).to_bits(), direct.to_bits());
+            assert_eq!(routed[j].to_bits(), direct.to_bits(), "query {j} (tenant {id}) drifted");
+            assert_eq!(reg.load(*id).estimate(q).to_bits(), direct.to_bits());
         }
     }
 
     #[test]
-    fn serve_registry_end_to_end() {
-        let mut runtimes = Vec::new();
-        for seed in [41u64, 43, 47] {
-            let (hist, train, serve, index) = tenant_fixture(seed);
-            runtimes.push(TenantRuntime {
-                key: TenantKey::new(format!("t{seed}"), vec![0, 1]),
-                hist,
-                train,
-                serve,
-                counter: index,
-            });
-        }
+    fn bad_routes_are_errors_not_answers() {
         let mut reg = Registry::new();
-        let cfg =
-            RegistryServeConfig { readers: 2, batch: 24, republish_every: 10, trainer_workers: 2 };
-        let report = serve_registry(&mut reg, runtimes, &cfg);
-
-        assert_eq!(report.tenants.len(), 3);
-        assert_eq!(report.composite_final, reg.composite_epoch());
-        let mut publishes_total = 0;
-        for (id, t) in report.tenants.iter().enumerate() {
-            assert_eq!(t.final_epoch, 1 + t.publishes, "tenant {id} epochs");
-            assert!(t.publishes >= 2, "tenant {id} republished");
-            assert!(t.answered >= 1, "tenant {id} was served");
-            assert_eq!(t.timeline.rows.len() as u64, t.final_epoch);
-            assert_eq!(
-                t.timeline.rows.iter().map(|r| r.answered).sum::<u64>(),
-                t.answered,
-                "tenant {id} timeline accounts for every estimate"
-            );
-            publishes_total += t.publishes;
-        }
-        // Every publication round ticked the composite clock exactly once.
-        assert_eq!(report.composite_final, 1 + publishes_total);
+        reg.register(TenantKey::new("t", vec![0, 1]), &trained(37, 10));
+        let ok = Rect::from_bounds(&[0.0, 0.0], &[10.0, 10.0]);
+        let flat = Rect::from_bounds(&[0.0], &[10.0]);
+        let mut out = vec![1.0; 3];
         assert_eq!(
-            report.composite_timeline.rows.iter().map(|r| r.answered).sum::<u64>(),
-            report.answered(),
-            "composite timeline accounts for every estimate"
+            reg.estimate_batch_routed(&[(0, ok.clone()), (1, ok.clone())], &mut out),
+            Err(RouteError::UnknownTenant { tenant: 1, tenants: 1 })
         );
-        // Readers saw more than one composite epoch and drained the end.
-        for r in &report.readers {
-            assert!(r.answered >= 1);
-            assert!(!r.epochs.is_empty());
-        }
-        assert!(report.answered() >= cfg.batch as u64);
-        // Deadlines are disabled by default: nothing sheds, ever.
-        assert!(report.shed_by_tenant.iter().all(|&s| s == 0));
-        assert_eq!(report.engine.shed_requests, 0);
-        assert!(report.engine.services > 0);
-    }
-
-    sth_platform::check! {
-        cases = 3;
-
-        /// Coalescing is invisible across tenants: mixed batches split by
-        /// `route_batch` and pushed through the engine (whatever the
-        /// coalescing cap groups together) answer bit-identically to
-        /// asking each tenant's pinned view directly, query by query.
-        #[test]
-        fn coalesced_mixed_engine_batches_are_bit_identical(
-            request_len in 1usize..5,
-            coalesce in 1usize..97,
-        ) {
-            use sth_platform::check::prelude::*;
-
-            let mut reg = Registry::new();
-            for seed in [61u64, 67, 71] {
-                let (hist, ..) = trained(seed, 20);
-                reg.register(TenantKey::new(format!("t{seed}"), vec![0, 1]), &hist);
-            }
-            let mixed: Vec<(TenantId, Rect)> = (0..36)
-                .map(|i| {
-                    let lo = (i % 9) as f64 * 8.0;
-                    (i % 3, Rect::from_bounds(&[lo, lo * 0.5], &[lo + 18.0, lo * 0.5 + 25.0]))
-                })
-                .collect();
-            let backend = RegistryBackend { registry: &reg };
-            let cfg = EngineConfig { threads: 2, coalesce, deadline: None };
-            let (report, injected) = sth_serve::run_open(&backend, &cfg, true, |inj| {
-                let mut injected = Vec::new();
-                // Requests follow the routing split of fixed-size mixed
-                // batches, exactly like the closed loop generates them.
-                for chunk in mixed.chunks(request_len * 3) {
-                    for (tenant, idxs) in route_batch(chunk) {
-                        let rects: Vec<Rect> =
-                            idxs.iter().map(|&j| chunk[j].1.clone()).collect();
-                        let slot = inj.inject(tenant, rects.clone());
-                        injected.push((tenant, rects, slot));
-                    }
-                }
-                injected
-            });
-            prop_assert_eq!(report.shed_total(), 0);
-            prop_assert_eq!(report.answered_total(), mixed.len() as u64);
-            let results = report.results.expect("capture was on");
-            for (tenant, rects, slot) in injected {
-                let view = reg.load(tenant);
-                for (k, q) in rects.iter().enumerate() {
-                    prop_assert_eq!(
-                        results[slot + k].to_bits(),
-                        view.estimate(q).to_bits(),
-                        "tenant {} slot {} drifted through the engine",
-                        tenant,
-                        slot + k
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn serve_registry_routes_bit_identically_to_the_final_snapshots() {
-        let mut runtimes = Vec::new();
-        let mut serves = Vec::new();
-        for seed in [53u64, 59] {
-            let (hist, train, serve, index) = tenant_fixture(seed);
-            serves.push(serve.clone());
-            runtimes.push(TenantRuntime {
-                key: TenantKey::new(format!("t{seed}"), vec![0, 1]),
-                hist,
-                train,
-                serve,
-                counter: index,
-            });
-        }
-        let mut reg = Registry::new();
-        let report = serve_registry(&mut reg, runtimes, &RegistryServeConfig::default());
-        assert_eq!(report.tenants.len(), 2);
-        // After the run, routing a mixed batch equals per-tenant answers
-        // from the final views, bit for bit.
-        let batch: Vec<(TenantId, Rect)> = serves
-            .iter()
-            .enumerate()
-            .flat_map(|(id, wl)| {
-                wl.queries().iter().take(10).map(move |q| (id, q.rect().clone()))
-            })
-            .collect();
-        let mut routed = Vec::new();
-        reg.estimate_batch_routed(&batch, &mut routed);
-        for (j, (id, q)) in batch.iter().enumerate() {
-            let view = reg.load(*id);
-            assert_eq!(routed[j].to_bits(), view.estimate(q).to_bits());
-        }
+        assert!(out.is_empty(), "a refused batch leaves no partial answers");
+        assert_eq!(
+            reg.estimate_batch_routed(&[(0, flat)], &mut out),
+            Err(RouteError::DimensionMismatch { tenant: 0, expected: 2, got: 1 })
+        );
+        assert_eq!(reg.estimate_batch_routed(&[], &mut out), Ok(()));
+        assert!(out.is_empty());
     }
 }

@@ -1,9 +1,9 @@
 //! Coalescing transparency for the serving engine: whatever the
 //! coalescing cap groups into one `estimate_batch` call must answer
 //! bit-identically to estimating each query alone against the same
-//! pinned snapshot. The strategy range includes `coalesce = 1` (the
-//! `STH_SERVE_ENGINE=0` fallback), so the property also pins the
-//! engine-off path to the direct answers.
+//! pinned snapshot. The strategy range includes `coalesce = 1` (every
+//! request served alone), so the property also pins the uncoalesced path
+//! to the direct answers.
 
 use sth_geometry::Rect;
 use sth_platform::check::prelude::*;
@@ -34,7 +34,7 @@ check! {
     ) {
         let (served, direct) = trained_frozen();
         let cell = SnapshotCell::new(served);
-        let backend = CellBackend::new(&cell);
+        let backend = CellBackend::new(std::slice::from_ref(&cell));
         let cfg = EngineConfig { threads, coalesce, deadline: None };
         let rects: Vec<Rect> = (0..48)
             .map(|i| {

@@ -3,9 +3,10 @@
 //! variables: a second `#[test]` here would race it on the shared
 //! environment, and the library tests run in a different process.
 
+use std::sync::Arc;
 use std::time::Duration;
 
-use sth_eval::{serve_concurrent, ServeConfig};
+use sth_eval::{serve, Registry, ServeConfig, TenantKey, TenantRuntime, Trainer};
 use sth_serve::EngineConfig;
 
 #[test]
@@ -21,9 +22,6 @@ fn serve_env_gates_flow_into_the_engine() {
     assert_eq!(cfg.coalesce, 1, "STH_SERVE_COALESCE floors at 1");
 
     std::env::remove_var("STH_SERVE_COALESCE");
-    std::env::set_var("STH_SERVE_ENGINE", "0");
-    assert_eq!(EngineConfig::from_env().coalesce, 1, "kill switch disables coalescing");
-    std::env::remove_var("STH_SERVE_ENGINE");
 
     std::env::set_var("STH_SERVE_DEADLINE_US", "0");
     assert_eq!(EngineConfig::from_env().deadline, None, "0 disables the deadline");
@@ -34,12 +32,17 @@ fn serve_env_gates_flow_into_the_engine() {
     // per-reader tallies, the engine stats, and the metrics agree.
     std::env::set_var("STH_SERVE_DEADLINE_US", "1");
     let data = sth_data::cross::CrossSpec::cross2d().scaled(0.05).generate();
-    let index = sth_index::KdCountTree::build(&data);
     let wl = sth_query::WorkloadSpec::paper(0.01, 97).generate(data.domain(), None);
-    let (train, serve) = wl.split_train(wl.len() / 2);
-    let mut hist = sth_core::build_uninitialized(&data, 64);
-    let cfg = ServeConfig { readers: 4, batch: 16, republish_every: 10 };
-    let report = serve_concurrent(&mut hist, &train, &serve, &index, &cfg);
+    let (train, serve_wl) = wl.split_train(wl.len() / 2);
+    let runtime = TenantRuntime {
+        key: TenantKey::new("deadline", vec![0, 1]),
+        trainer: Trainer::Volatile(sth_core::build_uninitialized(&data, 64)),
+        train,
+        serve: serve_wl,
+        counter: Arc::new(sth_index::KdCountTree::build(&data)),
+    };
+    let cfg = ServeConfig { readers: 4, batch: 16, republish_every: 10, trainer_workers: 1 };
+    let report = serve(&mut Registry::new(), &mut [runtime], &cfg).expect("volatile serve");
     std::env::remove_var("STH_SERVE_DEADLINE_US");
 
     // The closed-loop streams wrap their workload until the trainer is
@@ -53,7 +56,12 @@ fn serve_env_gates_flow_into_the_engine() {
     assert_eq!(
         report.shed(),
         report.engine.shed_queries,
-        "reader tallies and engine stats agree on sheds"
+        "per-tenant tallies and engine stats agree on sheds"
+    );
+    assert_eq!(
+        report.readers.iter().map(|r| r.shed).sum::<u64>(),
+        report.shed(),
+        "reader tallies agree on sheds"
     );
     if report.engine.shed_requests == 0 {
         assert_eq!(report.shed(), 0);

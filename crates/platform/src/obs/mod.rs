@@ -110,11 +110,6 @@ pub enum Counter {
     StoreBytesFlushed,
     /// Mixed-tenant batches split and routed by a histogram registry.
     RegistryRoutes,
-    /// Per-subtree shard snapshots republished by a registry tenant.
-    ShardPublishes,
-    /// Shard republishes skipped because the shard's content was
-    /// bit-identical to the published snapshot.
-    ShardPublishesSkipped,
     /// Coalesced estimate services executed by the serve engine (one per
     /// `estimate_batch` call the reactor issues against a pinned
     /// snapshot, covering one or more queued requests).
@@ -128,7 +123,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in JSON/report order.
-    pub const ALL: [Counter; 29] = [
+    pub const ALL: [Counter; 27] = [
         Counter::Queries,
         Counter::IndexProbes,
         Counter::ResultRows,
@@ -153,8 +148,6 @@ impl Counter {
         Counter::BatchLanesPruned,
         Counter::StoreBytesFlushed,
         Counter::RegistryRoutes,
-        Counter::ShardPublishes,
-        Counter::ShardPublishesSkipped,
         Counter::EngineServices,
         Counter::EngineCoalescedBatches,
         Counter::EngineShedQueries,
@@ -187,8 +180,6 @@ impl Counter {
             Counter::BatchLanesPruned => "batch_lanes_pruned",
             Counter::StoreBytesFlushed => "store_bytes_flushed",
             Counter::RegistryRoutes => "registry_routes",
-            Counter::ShardPublishes => "shard_publishes",
-            Counter::ShardPublishesSkipped => "shard_publishes_skipped",
             Counter::EngineServices => "engine_services",
             Counter::EngineCoalescedBatches => "engine_coalesced_batches",
             Counter::EngineShedQueries => "engine_shed_queries",

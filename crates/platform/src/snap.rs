@@ -102,40 +102,6 @@ impl<T> SnapshotCell<T> {
     }
 }
 
-/// A shared monotone clock for composite epochs: a registry that owns many
-/// [`SnapshotCell`]s ticks one `EpochClock` per publication round, giving
-/// every tenant's publish a totally ordered position on one timeline even
-/// though each cell keeps its own per-cell epoch sequence. Starts at 1
-/// (mirroring a cell's initial epoch) and only moves forward.
-#[derive(Debug)]
-pub struct EpochClock {
-    now: AtomicU64,
-}
-
-impl EpochClock {
-    /// Creates a clock reading 1, the epoch of initial cell values.
-    pub fn new() -> Self {
-        Self { now: AtomicU64::new(1) }
-    }
-
-    /// Advances the clock and returns the new reading. Each tick is a
-    /// unique, strictly increasing composite epoch.
-    pub fn tick(&self) -> u64 {
-        self.now.fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// The current reading without advancing.
-    pub fn now(&self) -> u64 {
-        self.now.load(Ordering::Acquire)
-    }
-}
-
-impl Default for EpochClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<T> SnapshotGuard<T> {
     /// The epoch of the `publish` that installed this snapshot.
     pub fn epoch(&self) -> u64 {
@@ -219,23 +185,6 @@ mod tests {
         let g2 = g1.clone();
         assert_eq!(&*g2, "a");
         assert_eq!(g2.epoch(), g1.epoch());
-    }
-
-    #[test]
-    fn epoch_clock_is_strictly_monotone_across_threads() {
-        let clock = EpochClock::new();
-        assert_eq!(clock.now(), 1);
-        let ticks: Vec<u64> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| s.spawn(|| (0..250).map(|_| clock.tick()).collect::<Vec<u64>>()))
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
-        });
-        let mut sorted = ticks.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), ticks.len(), "duplicate composite epoch");
-        assert_eq!(clock.now(), 1 + ticks.len() as u64);
     }
 
     #[test]

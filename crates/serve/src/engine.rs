@@ -66,13 +66,6 @@ pub trait Pinned {
     /// The publish epoch of this snapshot (per tenant).
     fn epoch(&self) -> u64;
 
-    /// The position of this snapshot on the backend-wide timeline.
-    /// Defaults to [`Pinned::epoch`]; multi-tenant backends with a shared
-    /// clock override it.
-    fn composite_epoch(&self) -> u64 {
-        self.epoch()
-    }
-
     /// Estimates every query; clears then fills `out` (the estimator
     /// zoo's contract).
     fn estimate_batch(&self, queries: &[Rect], out: &mut Vec<f64>);
@@ -83,8 +76,8 @@ pub trait Pinned {
 }
 
 /// A source of pinned snapshots, one per tenant. The engine is generic
-/// over this — a single `SnapshotCell` ([`CellBackend`]), a multi-tenant
-/// registry, or a test mock all plug in the same way.
+/// over this — snapshot cells ([`CellBackend`]) or a test mock plug in
+/// the same way.
 pub trait Backend: Sync {
     /// The pin type this backend hands out.
     type Pinned: Pinned;
@@ -97,24 +90,20 @@ pub trait Backend: Sync {
     /// still current. `seen = 0` is the "nothing cached" sentinel and
     /// always pins.
     fn repin(&self, tenant: TenantId, seen: u64) -> Option<Self::Pinned>;
-
-    /// Called once per generated mixed batch, before it is split by
-    /// tenant. Backends with routing counters hook this; the default does
-    /// nothing.
-    fn mark_route(&self) {}
 }
 
-/// The single-tenant backend: one [`SnapshotCell`] holding a
-/// [`FrozenHistogram`], the shape `serve_concurrent`/`serve_durable`
-/// publish into.
+/// The snapshot-cell backend: tenant `t` is `cells[t]`, one
+/// [`SnapshotCell`] of [`FrozenHistogram`] per tenant. A one-tenant
+/// caller passes `std::slice::from_ref(&cell)`; a registry passes all of
+/// its cells.
 pub struct CellBackend<'a> {
-    cell: &'a SnapshotCell<FrozenHistogram>,
+    cells: &'a [SnapshotCell<FrozenHistogram>],
 }
 
 impl<'a> CellBackend<'a> {
-    /// Wraps a snapshot cell as a one-tenant backend.
-    pub fn new(cell: &'a SnapshotCell<FrozenHistogram>) -> Self {
-        Self { cell }
+    /// Wraps snapshot cells as a backend with one tenant per cell.
+    pub fn new(cells: &'a [SnapshotCell<FrozenHistogram>]) -> Self {
+        Self { cells }
     }
 }
 
@@ -122,11 +111,11 @@ impl Backend for CellBackend<'_> {
     type Pinned = SnapshotGuard<FrozenHistogram>;
 
     fn tenant_count(&self) -> usize {
-        1
+        self.cells.len()
     }
 
-    fn repin(&self, _tenant: TenantId, seen: u64) -> Option<Self::Pinned> {
-        self.cell.load_if_newer(seen)
+    fn repin(&self, tenant: TenantId, seen: u64) -> Option<Self::Pinned> {
+        self.cells[tenant].load_if_newer(seen)
     }
 }
 
@@ -158,8 +147,7 @@ pub struct EngineConfig {
     /// [`par::worker_count`] for the open loop.
     pub threads: usize,
     /// Maximum queries per coalesced service. 1 disables coalescing
-    /// (every request is served alone — the `STH_SERVE_ENGINE=0`
-    /// fallback behavior).
+    /// (every request is served alone).
     pub coalesce: usize,
     /// Queue-wait deadline: requests that waited longer are shed whole.
     /// `None` disables admission control (nothing is ever shed).
@@ -174,11 +162,9 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// Reads the engine gates from the environment:
-    /// `STH_SERVE_THREADS` (0 = auto), `STH_SERVE_COALESCE` (floor 1),
-    /// `STH_SERVE_DEADLINE_US` (0 or unset = disabled), and
-    /// `STH_SERVE_ENGINE=0` as a coalescing kill switch (requests are
-    /// then served one per `estimate_batch` call, the pre-engine
-    /// behavior).
+    /// `STH_SERVE_THREADS` (0 = auto), `STH_SERVE_COALESCE` (floor 1;
+    /// 1 serves every request alone), and `STH_SERVE_DEADLINE_US` (0 or
+    /// unset = disabled).
     pub fn from_env() -> Self {
         let mut cfg = Self::default();
         if let Ok(v) = std::env::var("STH_SERVE_THREADS") {
@@ -195,9 +181,6 @@ impl EngineConfig {
             if let Ok(us) = v.parse::<u64>() {
                 cfg.deadline = if us > 0 { Some(Duration::from_micros(us)) } else { None };
             }
-        }
-        if std::env::var("STH_SERVE_ENGINE").is_ok_and(|v| v == "0") {
-            cfg.coalesce = 1;
         }
         cfg
     }
@@ -218,8 +201,8 @@ pub struct ReaderStats {
     pub audited: u64,
     /// Individual estimates shed by deadline admission control.
     pub shed: u64,
-    /// Distinct (composite) epochs this stream was served from,
-    /// ascending.
+    /// Distinct snapshot epochs this stream was served from, ascending
+    /// (each tenant counts its own epochs; a mixed stream pools them).
     pub epochs: Vec<u64>,
 }
 
@@ -256,7 +239,9 @@ pub struct EngineRun {
     /// engine thread, keyed by that tenant's snapshot epoch — the shape
     /// [`crate::EpochTimeline::assemble`] wants.
     pub tenant_rows: Vec<Vec<BTreeMap<u64, EpochRow>>>,
-    /// Composite-epoch attribution, one map per engine thread.
+    /// Run-wide attribution, one map per engine thread: every tenant's
+    /// rows pooled under the answering snapshot's epoch. For a one-tenant
+    /// backend this equals `tenant_rows[0]`.
     pub composite_rows: Vec<BTreeMap<u64, EpochRow>>,
     /// Merged obs delta of every engine thread.
     pub obs: obs::Snapshot,
@@ -582,7 +567,6 @@ fn generate_pass<B: Backend>(shared: &Shared<'_, B>, ti: usize, threads: usize) 
         st.cursor = end % n;
         st.final_batch = finished;
         st.batch_filled = 0;
-        shared.backend.mark_route();
         let groups = route_batch(slice);
         // Count the whole batch in flight before pushing any request, so
         // an early completion cannot observe inflight == 0 prematurely.
@@ -671,7 +655,6 @@ fn serve_batch<B: Backend>(
     }
     let pin = ctx.pins[tenant].as_ref().expect("repin(seen=0) must pin on first use");
     let epoch = pin.epoch();
-    let composite = pin.composite_epoch();
     ctx.buf.clear();
     let mut ranges: Vec<Range<usize>> = Vec::with_capacity(reqs.len());
     for req in &reqs {
@@ -705,10 +688,9 @@ fn serve_batch<B: Backend>(
     }
     // Kernel work is per service, not per request: attribute it once so
     // the timelines sum to the true counter deltas.
-    for (rows, ep) in
-        [(&mut ctx.tenant_rows[tenant], epoch), (&mut ctx.composite_rows, composite)]
-    {
-        let row = rows.entry(ep).or_insert_with(|| EpochRow { epoch: ep, ..EpochRow::default() });
+    for rows in [&mut ctx.tenant_rows[tenant], &mut ctx.composite_rows] {
+        let row =
+            rows.entry(epoch).or_insert_with(|| EpochRow { epoch, ..EpochRow::default() });
         row.kernel_calls += kernel1 - kernel0;
         row.lanes_pruned += pruned1 - pruned0;
     }
@@ -729,11 +711,9 @@ fn serve_batch<B: Backend>(
         // Request latency includes queue wait: offered-to-answered is
         // what a caller of the serving tier experiences.
         let latency_ns = done_at.duration_since(req.offered_at).as_nanos() as u64;
-        for (rows, ep) in
-            [(&mut ctx.tenant_rows[tenant], epoch), (&mut ctx.composite_rows, composite)]
-        {
+        for rows in [&mut ctx.tenant_rows[tenant], &mut ctx.composite_rows] {
             let row =
-                rows.entry(ep).or_insert_with(|| EpochRow { epoch: ep, ..EpochRow::default() });
+                rows.entry(epoch).or_insert_with(|| EpochRow { epoch, ..EpochRow::default() });
             row.batches += 1;
             row.answered += n;
             row.batch_ns.record(latency_ns);
@@ -746,7 +726,7 @@ fn serve_batch<B: Backend>(
                 }
             }
         }
-        complete_request(shared, req.stream, n, composite, false, ctx.audit);
+        complete_request(shared, req.stream, n, epoch, false, ctx.audit);
     }
     current.set((INJECTED, usize::MAX));
 }
@@ -782,7 +762,7 @@ fn complete_request<B: Backend>(
     shared: &Shared<'_, B>,
     stream: usize,
     n: u64,
-    composite: u64,
+    epoch: u64,
     shed: bool,
     audit: bool,
 ) {
@@ -799,7 +779,7 @@ fn complete_request<B: Backend>(
         if audit {
             st.stats.audited += 1;
         }
-        st.epochs.insert(composite);
+        st.epochs.insert(epoch);
     }
     st.inflight -= 1;
     if st.inflight == 0 {

@@ -1,9 +1,7 @@
 //! The serving tier: a poll/reactor engine over epoch-published snapshots.
 //!
-//! Before this crate, each serve entry point in `sth-eval` grew its own
-//! reader loop — thread-per-reader, one snapshot load per batch,
-//! duplicated audit/timeline/panic plumbing. This crate extracts the one
-//! engine all of them configure:
+//! The one engine behind `sth_eval::serve`, the load generator and the
+//! benchmarks:
 //!
 //! * **Engine threads, not reader threads.** A small number of engine
 //!   threads ([`EngineConfig::threads`]) multiplex many logical estimate
@@ -28,8 +26,8 @@
 //!   `engine_shed_queries` counter, and never silently.
 //!
 //! Two drive modes share all of that machinery: [`serve_closed`] replays
-//! a fixed mixed-tenant stream until a trainer's done flag (the shape the
-//! eval serve loops want), and [`run_open`] lets a caller-side producer
+//! a fixed mixed-tenant stream until a trainer's done flag (the shape
+//! `sth_eval::serve` wants), and [`run_open`] lets a caller-side producer
 //! inject requests at its own pace (the shape a load generator wants).
 //!
 //! The per-epoch attribution types ([`EpochRow`], [`EpochTimeline`])

@@ -34,7 +34,6 @@ mod kernel;
 mod merge;
 mod persist;
 mod scratch;
-mod shard;
 mod stats;
 
 pub use arena::{Bucket, BucketArena, BucketId};
@@ -44,5 +43,4 @@ pub use histogram::{MergePolicy, StHoles, SthConfig};
 pub use kernel::KERNEL_MIN_BATCH;
 pub use merge::{MergeOp, MergePenalty, ParentMerges};
 pub use persist::DecodeError;
-pub use shard::{FrozenShard, ShardedFrozen, ThinRoot};
 pub use stats::HistogramStats;

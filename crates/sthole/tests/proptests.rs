@@ -221,50 +221,6 @@ check! {
     }
 
     #[test]
-    fn shattered_composition_is_bit_identical(
-        points in collection::vec(point_strategy(), 20..150),
-        queries in collection::vec(query_strategy(), 1..30),
-        probes in collection::vec(query_strategy(), 0..30),
-        budget in 2usize..24,
-    ) {
-        // The shard contract: splitting a snapshot at the root and
-        // composing the thin root over the standalone shards is a pure
-        // representation change — every probe produces the exact f64 of
-        // the unsharded walk, on both the scalar and the batch path.
-        let ds = dataset(&points);
-        let counter = ScanCounter::new(&ds);
-        let domain = Rect::cube(2, 0.0, 100.0);
-        let mut h = StHoles::with_total(domain.clone(), budget, ds.len() as f64);
-        for q in &queries {
-            h.refine(q, &counter);
-        }
-        let frozen = h.freeze();
-        let sharded = frozen.shatter();
-        prop_assert!(sharded.check_invariants().is_ok(),
-            "{}", sharded.check_invariants().unwrap_err());
-
-        let mut batch = probes.clone();
-        batch.push(domain);
-        batch.push(Rect::cube(2, 150.0, 250.0));
-        for p in &batch {
-            let whole = frozen.estimate(p);
-            let composed = sharded.estimate(p);
-            prop_assert!(
-                whole.to_bits() == composed.to_bits(),
-                "composed {composed} != whole {whole} for {p}"
-            );
-        }
-        let mut whole_out = Vec::new();
-        frozen.estimate_batch(&batch, &mut whole_out);
-        let mut composed_out = vec![f64::NAN; 2]; // stale garbage: must clear
-        sharded.estimate_batch(&batch, &mut composed_out);
-        prop_assert!(composed_out.len() == batch.len());
-        for (i, (a, b)) in whole_out.iter().zip(&composed_out).enumerate() {
-            prop_assert!(a.to_bits() == b.to_bits(), "batch mismatch at {i}");
-        }
-    }
-
-    #[test]
     fn estimation_is_monotone_in_query_box(
         points in collection::vec(point_strategy(), 20..100),
         queries in collection::vec(query_strategy(), 1..15),

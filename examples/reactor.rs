@@ -46,7 +46,7 @@ fn main() {
         hist.refine(q.rect(), &engine);
     }
     let cell = SnapshotCell::new(hist.freeze());
-    let backend = CellBackend::new(&cell);
+    let backend = CellBackend::new(std::slice::from_ref(&cell));
     let probes: Vec<Rect> =
         wl.queries().iter().skip(120).take(64).map(|q| q.rect().clone()).collect();
 

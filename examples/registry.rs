@@ -1,29 +1,27 @@
-//! Acceptance demo for the multi-tenant registry with sharded
-//! publication: many tables/subspaces served concurrently out of one
-//! process, each publishing per-subtree shards so a localized refinement
-//! republishes only the shard it dirtied.
+//! Acceptance demo for the multi-tenant registry: many tables/subspaces
+//! trained and served concurrently out of one process, one published
+//! snapshot cell per tenant.
 //!
 //! `STH_TENANTS` (default 8) tenants — each with its own dataset, kd-tree
 //! execution engine, and training/serving workloads — are registered in a
-//! [`sth::eval::Registry`] and driven by [`sth::eval::serve_registry`]:
-//! trainer workers cycle the tenants round-robin, absorbing training
-//! queries and republishing each dirty tenant, while reader workers
-//! answer a mixed-tenant estimate stream split per batch by
+//! [`sth::eval::Registry`] and driven by [`sth::eval::serve`]: trainer
+//! workers take the tenants in turn, absorbing training queries and
+//! republishing each dirty tenant, while the serving engine answers a
+//! mixed-tenant estimate stream split per batch by
 //! [`sth::eval::route_batch`]. The example asserts the properties the
 //! design promises:
 //!
 //! * every tenant is trained and served: per-tenant publishes, routed
-//!   sub-batches, and answered estimates are all non-zero, and each
-//!   tenant's assembly epoch equals 1 + its publishes;
-//! * the registry's composite epoch accounts for every publication round
-//!   across all tenants exactly;
-//! * mixed-tenant batches routed through the registry are bit-identical
-//!   to asking each tenant's pinned shard-composed view directly;
-//! * a refinement localized to one region of a tenant's domain
-//!   republishes only the affected shard cells — the other shards' epochs
-//!   do not move (differential publication, `STH_SHARD_PUBLISH`);
+//!   sub-batches, and answered estimates are all non-zero, each tenant's
+//!   epoch equals 1 + its publishes, and the publish counter accounts for
+//!   every publication across all tenants exactly;
 //! * per-tenant timelines attribute every routed sub-batch to a tenant
-//!   epoch, and the aggregate obs rollup carries the registry counters.
+//!   epoch;
+//! * each tenant's final published snapshot answers bit-identically to
+//!   its trained live histogram;
+//! * mixed-tenant batches routed through the registry are bit-identical
+//!   to asking each tenant's snapshot directly, and a batch naming an
+//!   unknown tenant is refused with an error.
 //!
 //! ```text
 //! STH_AUDIT=1 cargo run --release --example registry
@@ -31,7 +29,7 @@
 
 use std::sync::Arc;
 
-use sth::eval::{serve_registry, Registry, RegistryServeConfig, TenantKey, TenantRuntime};
+use sth::eval::{serve, Registry, RouteError, ServeConfig, TenantKey, TenantRuntime, Trainer};
 use sth::platform::{obs, par};
 use sth::prelude::*;
 
@@ -42,7 +40,7 @@ fn main() {
     let tenants: usize =
         std::env::var("STH_TENANTS").ok().and_then(|v| v.parse().ok()).unwrap_or(8);
     assert!(tenants >= 1, "STH_TENANTS must be at least 1");
-    let cfg = RegistryServeConfig { readers: 4, batch: 32, republish_every: 20, trainer_workers: 3 };
+    let cfg = ServeConfig { readers: 4, batch: 32, republish_every: 20, trainer_workers: 3 };
     if par::worker_count() < cfg.readers {
         std::env::set_var("STH_THREADS", cfg.readers.to_string());
     }
@@ -60,7 +58,7 @@ fn main() {
         serve_rects.push(serve.queries().iter().map(|q| q.rect().clone()).collect());
         runtimes.push(TenantRuntime {
             key: TenantKey::new(format!("table{t}"), vec![0, 1]),
-            hist: build_uninitialized(&data, 48),
+            trainer: Trainer::Volatile(build_uninitialized(&data, 48)),
             train,
             serve,
             counter: index,
@@ -69,21 +67,19 @@ fn main() {
     println!("registry: {} tenants, {:?}", tenants, cfg);
 
     let mut registry = Registry::new();
-    let report = serve_registry(&mut registry, runtimes, &cfg);
+    let report = serve(&mut registry, &mut runtimes, &cfg).expect("volatile serve");
 
     println!(
-        "served {} estimates in {} routed sub-batches across {} readers; composite epoch {}",
+        "served {} estimates in {} routed sub-batches across {} readers; {} publishes",
         report.answered(),
         report.batches(),
         report.readers.len(),
-        report.composite_final
+        report.publishes()
     );
     for t in &report.tenants {
         println!(
-            "  {}: {} publishes (epoch {}), shards {} republished / {} skipped, \
-             {} answered in {} sub-batches",
-            t.key, t.publishes, t.final_epoch, t.shard_publishes, t.shard_skips, t.answered,
-            t.batches
+            "  {}: {} publishes (epoch {}), {} answered in {} sub-batches",
+            t.key, t.publishes, t.final_epoch, t.answered, t.batches
         );
     }
 
@@ -104,22 +100,24 @@ fn main() {
         total_publishes += t.publishes;
     }
     assert_eq!(
-        report.composite_final,
-        1 + total_publishes,
-        "composite epoch must tick once per publication round"
+        report.counters.get(obs::Counter::SnapshotPublishes),
+        total_publishes,
+        "the publish counter must account for every tenant's publications"
     );
-    let mixed_batches: u64 = report.readers.iter().map(|r| r.batches).sum();
-    assert!(
-        report.counters.get(obs::Counter::RegistryRoutes) >= mixed_batches,
-        "registry routing counter did not advance: {} routes for {} mixed batches",
-        report.counters.get(obs::Counter::RegistryRoutes),
-        mixed_batches
-    );
-    assert!(report.counters.get(obs::Counter::ShardPublishes) >= 1);
+
+    // -- Acceptance: the final snapshots are the trained histograms -----
+    for (id, rt) in runtimes.iter().enumerate() {
+        let snap = registry.load(id);
+        assert_eq!(snap.epoch(), report.tenants[id].final_epoch);
+        for q in &serve_rects[id] {
+            let live = CardinalityEstimator::estimate(rt.trainer.hist(), q);
+            assert_eq!(snap.estimate(q).to_bits(), live.to_bits(), "{} is stale", rt.key);
+        }
+    }
 
     // -- Acceptance: routing is invisible, bit for bit ------------------
     // A mixed batch interleaving every tenant, answered through the
-    // routed path, must equal each tenant's pinned view exactly.
+    // routed path, must equal each tenant's snapshot exactly.
     let mixed: Vec<(usize, Rect)> = (0..tenants * 8)
         .map(|j| {
             let id = j % tenants;
@@ -127,7 +125,7 @@ fn main() {
         })
         .collect();
     let mut routed = Vec::new();
-    registry.estimate_batch_routed(&mixed, &mut routed);
+    registry.estimate_batch_routed(&mixed, &mut routed).expect("every tenant is registered");
     for (j, (id, q)) in mixed.iter().enumerate() {
         let direct = registry.load(*id).estimate(q);
         assert_eq!(
@@ -139,45 +137,14 @@ fn main() {
     }
     println!("mixed-tenant routing bit-identical on {} probes", mixed.len());
 
-    // -- Acceptance: localized refinement republishes one shard ---------
-    // A fresh tenant, trained broadly, then refined on one localized
-    // query: the differential publish may touch the dirty shard (and the
-    // thin root) but must skip — and leave the epochs of — the shards
-    // the refinement never reached.
-    let data = sth::data::cross::CrossSpec::cross2d().scaled(0.02).generate();
-    let index = KdCountTree::build(&data);
-    let mut hist = build_uninitialized(&data, 48);
-    let wl = WorkloadSpec::paper(0.01, 4_242).generate(data.domain(), None);
-    for q in wl.queries().iter().take(60) {
-        hist.refine(q.rect(), &index);
-    }
-    let mut local = Registry::new();
-    let id = local.register(TenantKey::new("orders", vec![0, 1]), &hist);
-    let before = local.shard_epochs(id);
-    // An unseen localized query (1% of the domain volume): refining it
-    // dirties the subtree(s) it lands in and nothing else.
-    for q in wl.queries().iter().skip(60).take(1) {
-        hist.refine(q.rect(), &index);
-    }
-    let outcome = local.publish(id, &hist);
-    let after = local.shard_epochs(id);
-    assert!(
-        outcome.shard_publishes >= 1,
-        "localized refinement dirtied nothing: {outcome:?}"
+    // -- Acceptance: routing is total ---------------------------------
+    let stray = vec![(tenants, serve_rects[0][0].clone())];
+    assert_eq!(
+        registry.estimate_batch_routed(&stray, &mut routed),
+        Err(RouteError::UnknownTenant { tenant: tenants, tenants }),
+        "a batch naming an unknown tenant must be refused"
     );
-    assert!(
-        outcome.shard_skips >= 1,
-        "localized refinement republished every shard: {outcome:?}"
-    );
-    let surviving = before.iter().zip(&after).filter(|(b, a)| b == a).count();
-    assert!(
-        surviving >= 1,
-        "no shard epoch survived the localized publish: {before:?} -> {after:?}"
-    );
-    println!(
-        "localized refine: {} of {} shards republished, {} skipped ({} epochs untouched)",
-        outcome.shard_publishes, outcome.shards_total, outcome.shard_skips, surviving
-    );
+    println!("unknown tenant refused: {}", RouteError::UnknownTenant { tenant: tenants, tenants });
 
     obs::force_audit(false);
     obs::force_metrics(false);

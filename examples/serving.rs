@@ -1,11 +1,11 @@
 //! Acceptance demo for the read/write split: serve cardinality estimates
 //! from epoch-published frozen snapshots while the trainer keeps refining.
 //!
-//! A trainer thread refines the live `StHoles` over a training workload,
-//! republishing a `FrozenHistogram` into a `SnapshotCell` every few
-//! queries. Four (or more) reader threads concurrently answer estimate
-//! batches from whatever snapshot is current. The example asserts the
-//! properties the design promises:
+//! `sth::eval::serve` runs one tenant: a trainer thread refines the live
+//! `StHoles` over a training workload, republishing a `FrozenHistogram`
+//! into the tenant's `SnapshotCell` every few queries, while four reader
+//! streams concurrently answer estimate batches from whatever snapshot is
+//! current. The example asserts the properties the design promises:
 //!
 //! * readers collectively serve from at least two distinct epochs — the
 //!   histogram really was republished mid-run under them;
@@ -22,7 +22,9 @@
 //! STH_AUDIT=1 cargo run --release --example serving
 //! ```
 
-use sth::eval::{serve_concurrent, ServeConfig};
+use std::sync::Arc;
+
+use sth::eval::{serve, Registry, ServeConfig, TenantKey, TenantRuntime, Trainer};
 use sth::platform::{obs, par};
 use sth::prelude::*;
 
@@ -43,8 +45,8 @@ fn main() {
     // Correlated data, a kd-tree as the execution engine, and a histogram
     // that starts untrained — everything it learns happens mid-serve.
     let data = sth::data::cross::CrossSpec::cross2d().scaled(0.05).generate();
-    let engine = KdCountTree::build(&data);
-    let mut hist = build_uninitialized(&data, 100);
+    let engine = Arc::new(KdCountTree::build(&data));
+    let hist = build_uninitialized(&data, 100);
     println!(
         "dataset: {} tuples, {} attrs; histogram budget 100, untrained",
         data.len(),
@@ -53,10 +55,22 @@ fn main() {
 
     let wl = WorkloadSpec { count: 900, ..WorkloadSpec::paper(0.01, 41) }
         .generate(data.domain(), None);
-    let (train, serve) = wl.split_train(600);
+    let (train, serve_wl) = wl.split_train(600);
 
-    let cfg = ServeConfig { readers, batch: 32, republish_every: 40 };
-    let report = serve_concurrent(&mut hist, &train, &serve, &engine, &cfg);
+    let probes: Vec<Rect> =
+        serve_wl.queries().iter().take(64).map(|q| q.rect().clone()).collect();
+    let cfg = ServeConfig { readers, batch: 32, republish_every: 40, trainer_workers: 1 };
+    let mut tenant = [TenantRuntime {
+        key: TenantKey::new("cross", vec![0, 1]),
+        trainer: Trainer::Volatile(hist),
+        train,
+        serve: serve_wl,
+        counter: engine,
+    }];
+    let report = serve(&mut Registry::new(), &mut tenant, &cfg).expect("volatile serve");
+    let t = &report.tenants[0];
+    let epochs_served: Vec<u64> =
+        t.timeline.rows.iter().filter(|r| r.answered > 0).map(|r| r.epoch).collect();
 
     println!(
         "served {} estimates in {} batches across {} readers",
@@ -66,7 +80,7 @@ fn main() {
     );
     println!(
         "trainer republished {} times (final epoch {}), readers saw epochs {:?}",
-        report.publishes, report.final_epoch, report.epochs_observed
+        t.publishes, t.final_epoch, epochs_served
     );
     println!(
         "audited {} loaded snapshots; obs: {} publishes / {} loads",
@@ -78,16 +92,15 @@ fn main() {
     // -- The acceptance assertions -----------------------------------------
     assert_eq!(report.readers.len(), readers, "expected {readers} concurrent readers");
     assert!(
-        report.epochs_observed.len() >= 2,
-        "readers never saw a republish: epochs {:?}",
-        report.epochs_observed
+        epochs_served.len() >= 2,
+        "readers never saw a republish: epochs {epochs_served:?}"
     );
-    assert!(report.publishes >= 2, "trainer republished only {} times", report.publishes);
+    assert!(t.publishes >= 2, "trainer republished only {} times", t.publishes);
     for (i, r) in report.readers.iter().enumerate() {
         assert!(r.answered > 0, "reader {i} served nothing");
         assert_eq!(
             r.epochs.last(),
-            Some(&report.final_epoch),
+            Some(&t.final_epoch),
             "reader {i} never drained the final snapshot"
         );
     }
@@ -96,17 +109,18 @@ fn main() {
     // snapshot only when the epoch moved, audits exactly then, and every
     // answered batch rode an audited pin.
     assert_eq!(report.audited(), report.batches(), "unaudited snapshot load");
-    assert_eq!(report.counters.get(obs::Counter::SnapshotPublishes), report.publishes);
+    assert_eq!(report.counters.get(obs::Counter::SnapshotPublishes), t.publishes);
     assert_eq!(report.counters.get(obs::Counter::SnapshotLoads), report.engine.pins);
     assert_eq!(report.engine.audits, report.engine.pins, "every fresh pin audited");
 
     // The serve loop's last snapshot is the fully trained histogram:
     // freezing again must reproduce the live estimates bit for bit.
+    let hist = tenant[0].trainer.hist();
     let frozen = hist.freeze();
-    for q in serve.queries().iter().take(64) {
-        let live = CardinalityEstimator::estimate(&hist, q.rect());
-        let snap = frozen.estimate(q.rect());
-        assert_eq!(live.to_bits(), snap.to_bits(), "frozen/live divergence on {}", q.rect());
+    for q in &probes {
+        let live = CardinalityEstimator::estimate(hist, q);
+        let snap = frozen.estimate(q);
+        assert_eq!(live.to_bits(), snap.to_bits(), "frozen/live divergence on {q}");
     }
     println!("frozen estimates bit-identical to live on {} probes", 64);
 
@@ -115,8 +129,6 @@ fn main() {
     // the dispatch threshold went through the lane-oriented kernel. Measure
     // the per-query win on this trained snapshot: batch-64 kernel vs the
     // single-query frozen walk over the same probes.
-    let probes: Vec<Rect> =
-        serve.queries().iter().take(64).map(|q| q.rect().clone()).collect();
     let before = obs::snapshot();
     let mut out = Vec::new();
     frozen.estimate_batch(&probes, &mut out);
@@ -128,19 +140,19 @@ fn main() {
     );
 
     let iters = 300;
-    let t = std::time::Instant::now();
+    let clock = std::time::Instant::now();
     for _ in 0..iters {
         frozen.estimate_batch(&probes, &mut out);
     }
-    let batch_ns = t.elapsed().as_secs_f64() * 1e9 / (iters * probes.len()) as f64;
-    let t = std::time::Instant::now();
+    let batch_ns = clock.elapsed().as_secs_f64() * 1e9 / (iters * probes.len()) as f64;
+    let clock = std::time::Instant::now();
     let mut acc = 0.0;
     for _ in 0..iters {
         for q in &probes {
             acc += frozen.estimate(q);
         }
     }
-    let single_ns = t.elapsed().as_secs_f64() * 1e9 / (iters * probes.len()) as f64;
+    let single_ns = clock.elapsed().as_secs_f64() * 1e9 / (iters * probes.len()) as f64;
     assert!(acc.is_finite());
     println!(
         "batch kernel: {batch_ns:.0} ns/query batched (64) vs {single_ns:.0} ns/query single \

@@ -1,13 +1,13 @@
 //! Acceptance demo for the serving telemetry tier: mergeable latency
 //! histograms, the per-epoch timeline exporter, and the flight recorder.
 //!
-//! Part one runs `serve_concurrent` with metrics forced on and prints the
+//! Part one runs `serve` on one tenant with metrics forced on and prints the
 //! epoch-aligned timeline — human table and machine JSON — asserting the
 //! batch-estimate latency distribution is non-degenerate (real quantiles,
 //! p50 ≤ p99 ≤ p999, every batch accounted for) and that the mergeable
 //! histograms rode the provenance snapshot through the report.
 //!
-//! Part two fault-injects a `serve_durable` run (byte-budget `FaultVfs`)
+//! Part two fault-injects a durable `serve` run (byte-budget `FaultVfs`)
 //! with the flight recorder forced on: the store poisoning must leave a
 //! black-box dump whose final entries are the absorbs leading into the
 //! crash, capped by the `store_poisoned` event itself.
@@ -18,7 +18,10 @@
 
 use std::sync::Arc;
 
-use sth::eval::{serve_concurrent, serve_durable, ServeConfig};
+use sth::eval::{
+    serve, Registry, ServeConfig, ServeReport, TenantKey, TenantRuntime, Trainer,
+};
+use sth::store::StoreError;
 use sth::platform::{obs, par};
 use sth::prelude::*;
 use sth::store::vfs::{FaultVfs, MemVfs, Vfs};
@@ -35,24 +38,36 @@ fn main() {
 
     // ---- Part 1: per-epoch timeline from a concurrent serve run ----------
     let data = sth::data::cross::CrossSpec::cross2d().scaled(0.05).generate();
-    let engine = KdCountTree::build(&data);
-    let mut hist = build_uninitialized(&data, 100);
+    let engine: Arc<KdCountTree> = Arc::new(KdCountTree::build(&data));
     let wl = WorkloadSpec { count: 900, ..WorkloadSpec::paper(0.01, 41) }
         .generate(data.domain(), None);
-    let (train, serve) = wl.split_train(600);
+    let (train, serve_wl) = wl.split_train(600);
+    // One tenant over this data, trained through `trainer`.
+    let run = |trainer: Trainer, cfg: &ServeConfig| -> Result<ServeReport, StoreError> {
+        let mut tenant = [TenantRuntime {
+            key: TenantKey::new("cross", vec![0, 1]),
+            trainer,
+            train: train.clone(),
+            serve: serve_wl.clone(),
+            counter: engine.clone(),
+        }];
+        serve(&mut Registry::new(), &mut tenant, cfg)
+    };
 
-    let cfg = ServeConfig { readers, batch: 32, republish_every: 40 };
-    let report = serve_concurrent(&mut hist, &train, &serve, &engine, &cfg);
+    let cfg = ServeConfig { readers, batch: 32, republish_every: 40, trainer_workers: 1 };
+    let report =
+        run(Trainer::Volatile(build_uninitialized(&data, 100)), &cfg).expect("volatile serve");
+    let timeline = &report.tenants[0].timeline;
 
     println!(
-        "serve_concurrent: {} estimates in {} batches, {} epochs\n",
+        "serve: {} estimates in {} batches, {} epochs\n",
         report.answered(),
         report.batches(),
-        report.final_epoch
+        report.tenants[0].final_epoch
     );
-    println!("{}", report.timeline.render_table());
+    println!("{}", timeline.render_table());
 
-    let all = report.timeline.batch_ns_overall();
+    let all = timeline.batch_ns_overall();
     println!(
         "batch-estimate latency overall: n={} p50={}ns p90={}ns p99={}ns p999={}ns max={}ns",
         all.count(),
@@ -79,16 +94,16 @@ fn main() {
     );
     // Timeline rows are contiguous 1..=final_epoch and account for every
     // batch and estimate.
-    assert_eq!(report.timeline.rows.len() as u64, report.final_epoch);
-    assert_eq!(report.timeline.batches(), report.batches());
+    assert_eq!(timeline.rows.len() as u64, report.tenants[0].final_epoch);
+    assert_eq!(timeline.batches(), report.batches());
     assert_eq!(
-        report.timeline.rows.iter().map(|r| r.answered).sum::<u64>(),
+        timeline.rows.iter().map(|r| r.answered).sum::<u64>(),
         report.answered()
     );
     // 32-query batches ride the lane kernel; with metrics on, the timeline
     // sees the kernel counters.
     assert!(
-        report.timeline.rows.iter().map(|r| r.kernel_calls).sum::<u64>() > 0,
+        timeline.rows.iter().map(|r| r.kernel_calls).sum::<u64>() > 0,
         "kernel-sized batches must surface kernel calls in the timeline"
     );
     // The mergeable histograms ride the obs snapshot: the engine records
@@ -106,7 +121,7 @@ fn main() {
     );
     assert!(report.counters.hist(obs::HistKind::RefineNs).count() > 0);
 
-    let json = report.timeline.to_json();
+    let json = timeline.to_json();
     assert!(json.starts_with("[{\"epoch\": 1"));
     println!("\ntimeline json: {json}\n");
 
@@ -115,31 +130,28 @@ fn main() {
     // byte budget so the store poisons itself mid-run.
     let store_cfg =
         StoreConfig { flush_every_deltas: 6, flush_every_bytes: u64::MAX, retain_generations: 2 };
-    let serve_cfg = ServeConfig { readers: 2, batch: 8, republish_every: 10 };
+    let serve_cfg = ServeConfig { readers: 2, batch: 8, republish_every: 10, trainer_workers: 1 };
 
-    let ref_mem = Arc::new(MemVfs::new());
-    let ref_vfs = Arc::new(FaultVfs::unlimited(ref_mem));
-    let mut reference = DurableTrainer::create(
+    let ref_vfs = Arc::new(FaultVfs::unlimited(Arc::new(MemVfs::new())));
+    let reference = DurableTrainer::create(
         "/telemetry",
         ref_vfs.clone() as Arc<dyn Vfs>,
         store_cfg.clone(),
         build_uninitialized(&data, 64),
     )
     .expect("create reference trainer");
-    serve_durable(&mut reference, &train, &serve, &engine, &serve_cfg)
-        .expect("reference serve_durable");
+    run(Trainer::Durable(reference), &serve_cfg).expect("reference durable serve");
     let total_cost = ref_vfs.consumed();
 
-    let mem = Arc::new(MemVfs::new());
-    let vfs = Arc::new(FaultVfs::new(mem, total_cost / 2));
-    let mut trainer = DurableTrainer::create(
+    let vfs = Arc::new(FaultVfs::new(Arc::new(MemVfs::new()), total_cost / 2));
+    let trainer = DurableTrainer::create(
         "/telemetry",
         vfs as Arc<dyn Vfs>,
         store_cfg,
         build_uninitialized(&data, 64),
     )
     .expect("create fault-injected trainer");
-    let died = serve_durable(&mut trainer, &train, &serve, &engine, &serve_cfg);
+    let died = run(Trainer::Durable(trainer), &serve_cfg);
     assert!(died.is_err(), "half the write budget must poison the store");
 
     let dump = obs::flight::last_dump().expect("poisoning must dump the flight recorder");

@@ -23,7 +23,7 @@ STH_TRACE="$trace_log" STH_AUDIT=1 \
 echo "verify: observability example OK ($(wc -l < "$trace_log") trace events)"
 
 # Serving acceptance: concurrent readers answer estimate batches from
-# epoch-published frozen snapshots while the trainer refines. The example
+# epoch-published frozen snapshots while one tenant's trainer refines. The example
 # asserts ≥ 2 epochs served, per-reader final-epoch drains, an invariant
 # check on every loaded snapshot (STH_AUDIT=1), and frozen/live
 # bit-identity.
@@ -31,11 +31,12 @@ STH_AUDIT=1 cargo run -q --release --offline --example serving > /dev/null
 echo "verify: serving example OK"
 
 # Registry acceptance: 8 tenants (tables/subspaces) registered, trained
-# and served concurrently out of one registry with sharded publication.
-# The example asserts mixed-tenant routing is bit-identical to per-tenant
-# estimation, that a localized refinement republishes only the shard it
-# dirtied (per-shard epoch counters), and that per-tenant timelines and
-# the composite epoch account for every publication round exactly.
+# and served concurrently through one `serve` call, one snapshot cell per
+# tenant. The example asserts that every tenant's final snapshot equals
+# its trained histogram, that mixed-tenant routing is bit-identical to
+# per-tenant estimation and refuses an unknown tenant with an error, and
+# that per-tenant timelines and the publish counter account for every
+# publication exactly.
 STH_AUDIT=1 cargo run -q --release --offline --example registry > /dev/null
 echo "verify: registry example OK"
 
