@@ -1,8 +1,8 @@
 //! Hand-rolled binary codec helpers shared by every on-disk format.
 //!
 //! The workspace's hermetic-build policy rules out serde and format
-//! crates, so each persistent structure (`StHoles` catalogs, frozen
-//! snapshots, the durable store's delta log and manifest) encodes itself
+//! crates, so each persistent structure (the `StHoles` image, the
+//! durable store's snapshots, delta log and manifest) encodes itself
 //! with the same little-endian conventions. This module is the one place
 //! those conventions live:
 //!

@@ -28,6 +28,7 @@
 use std::cell::RefCell;
 
 use sth_geometry::Rect;
+use sth_platform::codec::ByteWriter;
 use sth_platform::obs;
 use sth_query::{CardinalityEstimator, Estimator};
 
@@ -203,6 +204,25 @@ impl FrozenHistogram {
     pub fn domain(&self) -> Rect {
         let span = 2 * self.ndim;
         Rect::from_bounds(&self.bounds[..self.ndim], &self.bounds[self.ndim..span])
+    }
+
+    /// 64-bit FNV-1a hash of the snapshot's logical state: its canonical
+    /// BFS columns (boxes, frequencies, child ranges). The BFS order is a
+    /// function of the bucket tree alone, so snapshots of logically equal
+    /// trees hash equal whatever the live arena's slot history. Derived
+    /// columns (volumes, own volumes) and the pruning-only children hulls
+    /// are left out.
+    pub fn golden_hash(&self) -> u64 {
+        let count = self.node_count();
+        let mut out = ByteWriter::with_capacity(8 + count * (2 * self.ndim + 1) * 8 + count * 4);
+        out.u32(self.ndim as u32);
+        out.u32(count as u32);
+        out.f64_slice(&self.bounds);
+        out.f64_slice(&self.freqs);
+        for &e in &self.child_end {
+            out.u32(e);
+        }
+        sth_platform::codec::fnv1a(out.as_bytes())
     }
 
     /// Writes `bounds ∩ q` into `out` (packed); `false` when empty.

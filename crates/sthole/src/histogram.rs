@@ -343,6 +343,26 @@ impl StHoles {
                 self.nonroot_count + 1
             ));
         }
+        // Tree shape: a parentless root from which every live bucket is
+        // reached exactly once. The per-bucket link checks above cannot
+        // see a cycle through the root or a detached cycle; the recursive
+        // estimator would not terminate on either.
+        if !self.arena.contains(self.root) || self.arena.get(self.root).parent.is_some() {
+            return Err(format!("root {} is dead or has a parent", self.root));
+        }
+        let mut visited = vec![false; self.arena.slot_count()];
+        let mut reached = 0usize;
+        let mut stack = vec![self.root];
+        while let Some(id) = stack.pop() {
+            if std::mem::replace(&mut visited[id], true) {
+                return Err(format!("bucket {id} reached twice from the root (cycle)"));
+            }
+            reached += 1;
+            stack.extend(&self.arena.get(id).children);
+        }
+        if reached != seen {
+            return Err(format!("{} live buckets unreachable from the root", seen - reached));
+        }
         if self.nonroot_count > self.config.budget {
             return Err(format!(
                 "budget exceeded: {} > {}",

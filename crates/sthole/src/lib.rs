@@ -29,7 +29,6 @@ mod consistency;
 mod drill;
 mod frozen;
 mod histogram;
-mod image;
 mod kernel;
 mod merge;
 mod persist;

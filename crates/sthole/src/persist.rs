@@ -1,29 +1,59 @@
-//! Compact binary persistence for [`StHoles`].
+//! Binary persistence for [`StHoles`]: one codec, the verbatim process
+//! image (`STI1`).
 //!
-//! Query optimizers keep their synopses in the catalog; this module gives
-//! the histogram a stable, dependency-free on-disk representation (the
-//! approved offline crate set has no serde *format* crate, so the codec is
-//! hand-rolled little-endian).
+//! Query optimizers keep their synopses in the catalog, and the durable
+//! store (`sth-store`) keeps one per snapshot generation; both use
+//! [`StHoles::to_bytes`] / [`StHoles::from_bytes`]. The approved offline
+//! crate set has no serde *format* crate, so the codec is hand-rolled
+//! little-endian on the primitives of [`sth_platform::codec`].
 //!
-//! Layout: magic, version, domain, config, then the bucket tree in
-//! pre-order (id remapping makes the encoding independent of arena slot
-//! history, so logically equal histograms encode identically).
+//! ## Why verbatim
 //!
-//! The little-endian primitives and the checksum live in
-//! [`sth_platform::codec`], shared with the frozen-snapshot codec
-//! ([`crate::FrozenHistogram::to_bytes`]) and the durable store's log and
-//! manifest formats.
+//! A self-tuning histogram is state that query feedback keeps refining,
+//! so the one property a persisted histogram must keep is **replay
+//! determinism**: decode, then refine, must equal refining the original.
+//! The merge search breaks penalty ties in ascending *slot* order, and
+//! zero-penalty ties between empty buckets are common — so an encoding
+//! that renumbered arena slots could legally pick a different (equally
+//! cheap) merge than the original process would have, and the two states
+//! would drift apart bit by bit from there.
+//!
+//! The image therefore captures the arena **verbatim**: every slot in
+//! place (freed slots included, as explicit gaps), the free list in pop
+//! order, children lists in order, plus config, root, domain and the
+//! frozen flag. Decoding reconstructs the exact process state, including
+//! every future tie-breaking decision — the property `sth-store` proves
+//! with crash-at-every-offset golden-hash tests. Pure acceleration state
+//! (merge heaps, scratch buffers, cached hulls) is *not* stored: it is
+//! rebuilt lazily and contractually changes no results (`best_merge` ≡
+//! `best_merge_exhaustive`, hulls only prune).
+//!
+//! ## Golden hash
+//!
+//! Identity checks want the opposite of verbatim: two histograms with the
+//! same logical tree should compare equal whatever their slot history.
+//! [`StHoles::golden_hash`] is FNV-1a over a *canonical* pre-order stream
+//! (buckets renumbered in pre-order), which is hashed and never decoded.
+//! Its layout, `STH1` tag included, is fixed: golden values are pinned by
+//! tests and recorded in every durable store's manifest and snapshot
+//! headers, so any change to the stream would orphan them.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use sth_geometry::Rect;
 use sth_platform::codec::{ByteReader, ByteWriter, CodecError};
+use sth_query::SelfTuning;
 
 use crate::{Bucket, BucketArena, BucketId, MergePolicy, StHoles, SthConfig};
 
-const MAGIC: &[u8; 4] = b"STH1";
+const MAGIC: &[u8; 4] = b"STI1";
+/// Tag of the canonical pre-order stream behind [`StHoles::golden_hash`].
+const CANONICAL_MAGIC: &[u8; 4] = b"STH1";
 const VERSION: u8 = 1;
+
+/// Largest slot count the decoder accepts; guards allocation against
+/// hostile length fields.
+const MAX_SLOTS: usize = 1 << 24;
 
 /// Errors produced by [`StHoles::from_bytes`].
 #[derive(Debug, PartialEq, Eq)]
@@ -54,14 +84,14 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-pub(crate) fn put_rect(out: &mut ByteWriter, r: &Rect) {
+fn put_rect(out: &mut ByteWriter, r: &Rect) {
     for d in 0..r.ndim() {
         out.f64(r.lo()[d]);
         out.f64(r.hi()[d]);
     }
 }
 
-pub(crate) fn get_rect(r: &mut ByteReader<'_>, dim: usize) -> Result<Rect, DecodeError> {
+fn get_rect(r: &mut ByteReader<'_>, dim: usize) -> Result<Rect, DecodeError> {
     let mut lo = vec![0.0; dim];
     let mut hi = vec![0.0; dim];
     for d in 0..dim {
@@ -71,326 +101,298 @@ pub(crate) fn get_rect(r: &mut ByteReader<'_>, dim: usize) -> Result<Rect, Decod
     Rect::new(&lo, &hi).map_err(|_| DecodeError::Corrupt("invalid rectangle"))
 }
 
+/// Writes the header both streams share: magic, version, domain, config.
+fn put_header(out: &mut ByteWriter, magic: &[u8; 4], hist: &StHoles) {
+    out.bytes(magic);
+    out.u8(VERSION);
+    out.u32(hist.domain().ndim() as u32);
+    put_rect(out, hist.domain());
+    out.u32(hist.config.budget as u32);
+    out.f64(hist.config.min_hole_volume_frac);
+    out.u8(match hist.config.merge_policy {
+        MergePolicy::All => 0,
+        MergePolicy::ParentChildOnly => 1,
+        MergePolicy::SiblingFirst => 2,
+    });
+    out.u32(hist.config.sibling_neighbor_cap.map_or(u32::MAX, |c| c as u32));
+}
+
+/// Reads what [`put_header`] wrote under [`MAGIC`].
+fn get_header(r: &mut ByteReader<'_>) -> Result<(Rect, SthConfig), DecodeError> {
+    if r.take(4)? != MAGIC {
+        return Err(DecodeError::BadMagic);
+    }
+    let version = r.u8()?;
+    if version != VERSION {
+        return Err(DecodeError::BadVersion(version));
+    }
+    let dim = r.u32()? as usize;
+    if dim == 0 || dim > 1024 {
+        return Err(DecodeError::Corrupt("implausible dimensionality"));
+    }
+    let domain = get_rect(r, dim)?;
+    let budget = r.u32()? as usize;
+    let min_hole_volume_frac = r.finite_f64("non-finite config value")?;
+    let merge_policy = match r.u8()? {
+        0 => MergePolicy::All,
+        1 => MergePolicy::ParentChildOnly,
+        2 => MergePolicy::SiblingFirst,
+        _ => return Err(DecodeError::Corrupt("unknown merge policy")),
+    };
+    let cap = r.u32()?;
+    let sibling_neighbor_cap = if cap == u32::MAX { None } else { Some(cap as usize) };
+    Ok((domain, SthConfig { budget, min_hole_volume_frac, merge_policy, sibling_neighbor_cap }))
+}
+
 impl StHoles {
-    /// Encodes the histogram into a self-contained byte buffer.
+    /// Encodes the histogram as a verbatim process image: the exact arena
+    /// slot layout, free list, and children order, so a decoded histogram
+    /// replays future refinements bit-identically (see the module docs).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = ByteWriter::with_capacity(64 + 64 * self.bucket_count());
-        out.bytes(MAGIC);
-        out.u8(VERSION);
-        out.u32(self.domain().ndim() as u32);
-        put_rect(&mut out, self.domain());
-        out.u32(self.config.budget as u32);
-        out.f64(self.config.min_hole_volume_frac);
-        out.u8(match self.config.merge_policy {
-            MergePolicy::All => 0,
-            MergePolicy::ParentChildOnly => 1,
-            MergePolicy::SiblingFirst => 2,
-        });
-        match self.config.sibling_neighbor_cap {
-            None => out.u32(u32::MAX),
-            Some(c) => out.u32(c as u32),
+        let arena = self.arena();
+        let mut out = ByteWriter::with_capacity(64 + 64 * arena.slot_count());
+        put_header(&mut out, MAGIC, self);
+        out.u32(self.root() as u32);
+        out.u32(self.bucket_count() as u32);
+        out.u8(self.frozen() as u8);
+
+        out.u32(arena.slot_count() as u32);
+        for i in 0..arena.slot_count() {
+            match arena.slot(i) {
+                None => out.u8(0),
+                Some(b) => {
+                    out.u8(1);
+                    put_rect(&mut out, &b.rect);
+                    out.f64(b.freq);
+                    out.u32(b.parent.map_or(u32::MAX, |p| p as u32));
+                    out.len_u32(b.children.len());
+                    for &c in &b.children {
+                        out.u32(c as u32);
+                    }
+                }
+            }
         }
-        // Pre-order bucket stream with remapped ids: parent, rect, freq.
-        out.u32((self.bucket_count() + 1) as u32);
-        let mut order: Vec<BucketId> = Vec::with_capacity(self.bucket_count() + 1);
+        out.len_u32(arena.free_list().len());
+        for &f in arena.free_list() {
+            out.u32(f as u32);
+        }
+        out.into_bytes()
+    }
+
+    /// 64-bit FNV-1a hash of the canonical pre-order encoding: the golden
+    /// hash of the histogram's logical state. Two histograms hash equal
+    /// iff their bucket trees (children order included), frequencies and
+    /// configs are identical, whatever their arena slot history — the
+    /// identity check behind the durable store's bit-identical recovery
+    /// proof.
+    pub fn golden_hash(&self) -> u64 {
+        sth_platform::codec::fnv1a(&self.canonical_bytes())
+    }
+
+    /// The canonical stream behind [`StHoles::golden_hash`]: header, then
+    /// the bucket tree in pre-order as `(parent index, rect, freq)` with
+    /// ids renumbered to pre-order positions.
+    fn canonical_bytes(&self) -> Vec<u8> {
+        let arena = self.arena();
+        let count = self.bucket_count() + 1;
+        let mut out = ByteWriter::with_capacity(64 + 64 * count);
+        put_header(&mut out, CANONICAL_MAGIC, self);
+        out.u32(count as u32);
+        let mut order: Vec<BucketId> = Vec::with_capacity(count);
         let mut stack = vec![self.root()];
         while let Some(id) = stack.pop() {
             order.push(id);
-            stack.extend(self.arena().get(id).children.iter().rev());
+            stack.extend(arena.get(id).children.iter().rev());
         }
-        let remap: HashMap<BucketId, u32> =
-            order.iter().enumerate().map(|(i, &id)| (id, i as u32)).collect();
+        let mut remap = vec![u32::MAX; arena.slot_count()];
+        for (i, &id) in order.iter().enumerate() {
+            remap[id] = i as u32;
+        }
         for &id in &order {
-            let b = self.arena().get(id);
-            let parent = b.parent.map_or(u32::MAX, |p| remap[&p]);
-            out.u32(parent);
+            let b = arena.get(id);
+            out.u32(b.parent.map_or(u32::MAX, |p| remap[p]));
             put_rect(&mut out, &b.rect);
             out.f64(b.freq);
         }
         out.into_bytes()
     }
 
-    /// 64-bit FNV-1a hash of [`StHoles::to_bytes`]: the canonical golden
-    /// hash of the histogram's logical state. Two histograms hash equal
-    /// iff their bucket trees, frequencies and configs are identical —
-    /// the identity check behind the durable store's bit-identical
-    /// recovery proof.
-    pub fn golden_hash(&self) -> u64 {
-        sth_platform::codec::fnv1a(&self.to_bytes())
-    }
-
-    /// Decodes a histogram previously produced by [`StHoles::to_bytes`].
-    /// The decoded tree is validated with
-    /// [`StHoles::check_invariants`].
+    /// Decodes a histogram produced by [`StHoles::to_bytes`].
+    ///
+    /// Total over arbitrary bytes: every structural claim in the input
+    /// (slot references, free-list entries, linkage, tree shape) is
+    /// validated, ending with [`StHoles::check_invariants`], so corrupt
+    /// input yields `Err`, never a panic or an inconsistent histogram.
     pub fn from_bytes(bytes: &[u8]) -> Result<StHoles, DecodeError> {
         let mut r = ByteReader::new(bytes);
-        if r.take(4)? != MAGIC {
-            return Err(DecodeError::BadMagic);
-        }
-        let version = r.u8()?;
-        if version != VERSION {
-            return Err(DecodeError::BadVersion(version));
-        }
-        let dim = r.u32()? as usize;
-        if dim == 0 || dim > 1024 {
-            return Err(DecodeError::Corrupt("implausible dimensionality"));
-        }
-        let domain = get_rect(&mut r, dim)?;
-        let budget = r.u32()? as usize;
-        let min_hole_volume_frac = r.finite_f64("non-finite config value")?;
-        let merge_policy = match r.u8()? {
-            0 => MergePolicy::All,
-            1 => MergePolicy::ParentChildOnly,
-            2 => MergePolicy::SiblingFirst,
-            _ => return Err(DecodeError::Corrupt("unknown merge policy")),
+        let (domain, config) = get_header(&mut r)?;
+        let dim = domain.ndim();
+        let root = r.u32()? as usize;
+        let nonroot_count = r.u32()? as usize;
+        let frozen = match r.u8()? {
+            0 => false,
+            1 => true,
+            _ => return Err(DecodeError::Corrupt("bad frozen flag")),
         };
-        let cap = r.u32()?;
-        let sibling_neighbor_cap = if cap == u32::MAX { None } else { Some(cap as usize) };
-        let config =
-            SthConfig { budget, min_hole_volume_frac, merge_policy, sibling_neighbor_cap };
 
-        let count = r.u32()? as usize;
-        if count == 0 {
-            return Err(DecodeError::Corrupt("no buckets"));
+        let slot_count = r.count_u32(MAX_SLOTS, "implausible slot count")?;
+        let mut slots: Vec<Option<Bucket>> = Vec::with_capacity(slot_count);
+        let mut live = 0usize;
+        for _ in 0..slot_count {
+            match r.u8()? {
+                0 => slots.push(None),
+                1 => {
+                    let rect = get_rect(&mut r, dim)?;
+                    let freq = r.finite_f64("non-finite frequency")?;
+                    if freq < 0.0 {
+                        return Err(DecodeError::Corrupt("negative frequency"));
+                    }
+                    let parent_raw = r.u32()?;
+                    let parent = if parent_raw == u32::MAX {
+                        None
+                    } else {
+                        Some(parent_raw as BucketId)
+                    };
+                    let n_children = r.count_u32(slot_count, "implausible child count")?;
+                    let mut children = Vec::with_capacity(n_children);
+                    for _ in 0..n_children {
+                        children.push(r.u32()? as BucketId);
+                    }
+                    slots.push(Some(Bucket { rect, freq, parent, children }));
+                    live += 1;
+                }
+                _ => return Err(DecodeError::Corrupt("bad slot tag")),
+            }
         }
-        let mut arena = BucketArena::new();
-        let mut ids = Vec::with_capacity(count);
-        for i in 0..count {
-            let parent_idx = r.u32()?;
-            let rect = get_rect(&mut r, dim)?;
-            let freq = r.finite_f64("non-finite frequency")?;
-            if freq < 0.0 {
-                return Err(DecodeError::Corrupt("negative frequency"));
-            }
-            let parent = if parent_idx == u32::MAX {
-                if i != 0 {
-                    return Err(DecodeError::Corrupt("multiple roots"));
-                }
-                None
-            } else {
-                let p = parent_idx as usize;
-                if p >= i {
-                    return Err(DecodeError::Corrupt("parent not before child (not pre-order)"));
-                }
-                Some(ids[p])
-            };
-            let id = arena.alloc(Bucket::leaf(rect, freq, parent));
-            if let Some(p) = parent {
-                arena.get_mut(p).children.push(id);
-            }
-            ids.push(id);
+        let free_count = r.count_u32(slot_count, "implausible free count")?;
+        let mut free = Vec::with_capacity(free_count);
+        for _ in 0..free_count {
+            free.push(r.u32()? as BucketId);
         }
         r.expect_exhausted()?;
-        let hist = StHoles::assemble(arena, ids[0], config, count - 1, domain);
+
+        // Structural validation before arena assembly: every reference
+        // must land on a slot of the right liveness, exactly once.
+        if live + free.len() != slot_count {
+            return Err(DecodeError::Corrupt("free list does not cover dead slots"));
+        }
+        let mut seen_free = vec![false; slot_count];
+        for &f in &free {
+            if f >= slot_count || slots[f].is_some() || seen_free[f] {
+                return Err(DecodeError::Corrupt("bad free-list entry"));
+            }
+            seen_free[f] = true;
+        }
+        if live == 0 || root >= slot_count || slots[root].is_none() {
+            return Err(DecodeError::Corrupt("missing root"));
+        }
+        if nonroot_count != live - 1 {
+            return Err(DecodeError::Corrupt("bucket count mismatch"));
+        }
+        for (i, slot) in slots.iter().enumerate() {
+            let Some(b) = slot else { continue };
+            match b.parent {
+                None if i != root => return Err(DecodeError::Corrupt("multiple roots")),
+                Some(_) if i == root => return Err(DecodeError::Corrupt("root has a parent")),
+                Some(p) if p >= slot_count || slots[p].is_none() => {
+                    return Err(DecodeError::Corrupt("dangling parent reference"))
+                }
+                _ => {}
+            }
+            for &c in &b.children {
+                if c >= slot_count || slots[c].as_ref().map(|cb| cb.parent) != Some(Some(i)) {
+                    return Err(DecodeError::Corrupt("bad child reference"));
+                }
+            }
+        }
+
+        // Every index is now in range and every link is mutual, so the
+        // arena can be assembled; `check_invariants` then walks the tree
+        // from the root, refusing cycles and unreachable buckets.
+        let arena = BucketArena::from_slots(slots, free);
+        let mut hist = StHoles::assemble(arena, root, config, nonroot_count, domain);
+        hist.set_frozen(frozen);
         hist.check_invariants().map_err(|_| DecodeError::Corrupt("invariant violation"))?;
         Ok(hist)
-    }
-}
-
-const FROZEN_MAGIC: &[u8; 4] = b"STF1";
-const FROZEN_VERSION: u8 = 1;
-
-// Section tags of the frozen columnar format.
-const SEC_BOUNDS: u8 = 1;
-const SEC_HULLS: u8 = 2;
-const SEC_FREQS: u8 = 3;
-const SEC_CHILDREN: u8 = 4;
-
-/// Largest node count [`FrozenHistogram::from_bytes`] will decode; guards
-/// allocation against hostile length fields (a real snapshot is bounded
-/// by the bucket budget, far below this).
-const MAX_FROZEN_NODES: usize = 1 << 24;
-
-impl crate::FrozenHistogram {
-    /// Encodes the snapshot into a self-contained, versioned byte buffer:
-    /// magic + header, then one length-prefixed, CRC-checksummed section
-    /// per column (`bounds`, `hulls`, `freqs`, child ranges).
-    ///
-    /// The encoding is **canonical**: the snapshot arrays are the BFS
-    /// flattening of the logical bucket tree, so two frozen histograms of
-    /// logically equal trees encode identically regardless of the live
-    /// arena's slot history — the same id-remapping guarantee as
-    /// [`StHoles::to_bytes`]. Derived columns (volumes, own volumes,
-    /// depth) are *not* stored; [`FrozenHistogram::from_bytes`] recomputes
-    /// them with the same arithmetic, bit for bit.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        use sth_platform::codec::write_section;
-        let count = self.vols.len();
-        let span = 2 * self.ndim;
-        let mut out = ByteWriter::with_capacity(32 + count * (2 * span + 1) * 8);
-        out.bytes(FROZEN_MAGIC);
-        out.u8(FROZEN_VERSION);
-        out.u32(self.ndim as u32);
-        out.u32(count as u32);
-
-        let mut col = ByteWriter::with_capacity(count * span * 8);
-        col.f64_slice(&self.bounds);
-        write_section(&mut out, SEC_BOUNDS, col.as_bytes());
-
-        let mut col = ByteWriter::with_capacity(count * span * 8);
-        col.f64_slice(&self.hulls);
-        write_section(&mut out, SEC_HULLS, col.as_bytes());
-
-        let mut col = ByteWriter::with_capacity(count * 8);
-        col.f64_slice(&self.freqs);
-        write_section(&mut out, SEC_FREQS, col.as_bytes());
-
-        // BFS layout: child ranges tile 1..count in node order, so the
-        // start cursor is derivable and only the ends are stored.
-        let mut col = ByteWriter::with_capacity(count * 4);
-        for &e in &self.child_end {
-            col.u32(e);
-        }
-        write_section(&mut out, SEC_CHILDREN, col.as_bytes());
-        out.into_bytes()
-    }
-
-    /// Decodes a snapshot produced by [`FrozenHistogram::to_bytes`],
-    /// verifying every section checksum and the full structural
-    /// invariants ([`FrozenHistogram::check_invariants`]) before handing
-    /// the snapshot out — arbitrary bytes can never yield a snapshot
-    /// that would panic or misestimate at serve time.
-    pub fn from_bytes(bytes: &[u8]) -> Result<crate::FrozenHistogram, DecodeError> {
-        use sth_platform::codec::read_section;
-        let mut r = ByteReader::new(bytes);
-        if r.take(4)? != FROZEN_MAGIC {
-            return Err(DecodeError::BadMagic);
-        }
-        let version = r.u8()?;
-        if version != FROZEN_VERSION {
-            return Err(DecodeError::BadVersion(version));
-        }
-        let ndim = r.u32()? as usize;
-        if ndim == 0 || ndim > 1024 {
-            return Err(DecodeError::Corrupt("implausible dimensionality"));
-        }
-        let count = r.count_u32(MAX_FROZEN_NODES, "implausible node count")?;
-        if count == 0 {
-            return Err(DecodeError::Corrupt("no nodes"));
-        }
-        let span = 2 * ndim;
-
-        let payload = read_section(&mut r, SEC_BOUNDS)?;
-        if payload.len() != count * span * 8 {
-            return Err(DecodeError::Corrupt("bounds section length mismatch"));
-        }
-        let bounds = ByteReader::new(payload).f64_vec(count * span)?;
-
-        let payload = read_section(&mut r, SEC_HULLS)?;
-        if payload.len() != count * span * 8 {
-            return Err(DecodeError::Corrupt("hulls section length mismatch"));
-        }
-        let hulls = ByteReader::new(payload).f64_vec(count * span)?;
-
-        let payload = read_section(&mut r, SEC_FREQS)?;
-        if payload.len() != count * 8 {
-            return Err(DecodeError::Corrupt("freqs section length mismatch"));
-        }
-        let freqs = ByteReader::new(payload).f64_vec(count)?;
-
-        let payload = read_section(&mut r, SEC_CHILDREN)?;
-        if payload.len() != count * 4 {
-            return Err(DecodeError::Corrupt("child section length mismatch"));
-        }
-        let mut cr = ByteReader::new(payload);
-        let mut child_start = Vec::with_capacity(count);
-        let mut child_end = Vec::with_capacity(count);
-        let mut cursor = 1u32;
-        for _ in 0..count {
-            let end = cr.u32()?;
-            if end < cursor || end as usize > count {
-                return Err(DecodeError::Corrupt("bad child range"));
-            }
-            child_start.push(cursor);
-            child_end.push(end);
-            cursor = end;
-        }
-        if cursor as usize != count {
-            return Err(DecodeError::Corrupt("child ranges do not tile the node set"));
-        }
-        r.expect_exhausted()?;
-
-        // Derived columns, recomputed with the freeze-time arithmetic so a
-        // decoded snapshot is bit-identical to the one that was encoded.
-        let vols: Vec<f64> =
-            (0..count).map(|i| crate::FrozenHistogram::packed_volume(&bounds[i * span..(i + 1) * span])).collect();
-        let own_vols: Vec<f64> = (0..count)
-            .map(|i| {
-                let mut v = vols[i];
-                for c in child_start[i]..child_end[i] {
-                    v -= vols[c as usize];
-                }
-                v.max(0.0)
-            })
-            .collect();
-        let mut depth = vec![0usize; count];
-        for i in 0..count {
-            for c in child_start[i]..child_end[i] {
-                depth[c as usize] = depth[i] + 1;
-            }
-        }
-        let snap = crate::FrozenHistogram {
-            ndim,
-            bounds,
-            hulls,
-            vols,
-            own_vols,
-            freqs,
-            child_start,
-            child_end,
-            max_depth: depth.iter().copied().max().unwrap_or(0),
-        };
-        snap.check_invariants().map_err(|_| DecodeError::Corrupt("invariant violation"))?;
-        Ok(snap)
-    }
-
-    /// 64-bit FNV-1a hash of [`FrozenHistogram::to_bytes`] — the golden
-    /// hash of the snapshot's logical state.
-    pub fn golden_hash(&self) -> u64 {
-        sth_platform::codec::fnv1a(&self.to_bytes())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sth_index::ScanCounter;
-    use sth_query::{CardinalityEstimator, SelfTuning};
+    use sth_index::{ResultSetCounter, ScanCounter};
+    use sth_query::{CardinalityEstimator, WorkloadSpec};
 
-    fn trained() -> StHoles {
+    fn trained(queries: usize) -> (StHoles, sth_data::Dataset) {
         let ds = sth_data::cross::CrossSpec::cross2d().scaled(0.02).generate();
         let counter = ScanCounter::new(&ds);
-        let mut h = StHoles::with_total(ds.domain().clone(), 20, ds.len() as f64);
-        let wl = sth_query::WorkloadSpec { count: 60, ..sth_query::WorkloadSpec::paper(0.01, 4) }
+        let mut h = StHoles::with_total(ds.domain().clone(), 12, ds.len() as f64);
+        let wl = WorkloadSpec { count: queries, ..WorkloadSpec::paper(0.01, 4) }
             .generate(ds.domain(), None);
         for q in wl.queries() {
             h.refine(q.rect(), &counter);
         }
-        h
+        (h, ds)
     }
 
-    #[test]
-    fn roundtrip_preserves_estimates() {
-        let h = trained();
-        let bytes = h.to_bytes();
-        let back = StHoles::from_bytes(&bytes).unwrap();
-        assert_eq!(back.bucket_count(), h.bucket_count());
-        assert_eq!(back.budget(), h.budget());
-        let probes = [
+    fn probes() -> [Rect; 4] {
+        [
             Rect::from_bounds(&[0.0, 0.0], &[1000.0, 1000.0]),
             Rect::from_bounds(&[480.0, 100.0], &[520.0, 900.0]),
             Rect::from_bounds(&[100.0, 480.0], &[900.0, 520.0]),
             Rect::from_bounds(&[10.0, 10.0], &[50.0, 50.0]),
-        ];
-        for p in &probes {
-            assert!((h.estimate(p) - back.estimate(p)).abs() < 1e-9, "mismatch on {p}");
+        ]
+    }
+
+    #[test]
+    fn roundtrip_restores_exact_state() {
+        let (h, _) = trained(80);
+        let bytes = h.to_bytes();
+        let back = StHoles::from_bytes(&bytes).unwrap();
+        // Slot layout identical (bytes), logical state identical (golden),
+        // and therefore estimates identical to the bit.
+        assert_eq!(back.to_bytes(), bytes);
+        assert_eq!(back.golden_hash(), h.golden_hash());
+        assert_eq!(back.budget(), h.budget());
+        for p in &probes() {
+            assert_eq!(h.estimate(p).to_bits(), back.estimate(p).to_bits(), "mismatch on {p}");
         }
     }
 
     #[test]
+    fn replay_after_roundtrip_is_bit_identical() {
+        // The property the durable store stands on: decode then refine ≡
+        // refine on the original, including merge tie-breaking. A small
+        // budget over a low-density dataset forces plenty of zero-penalty
+        // ties between empty buckets.
+        let (mut h, ds) = trained(60);
+        let mut back = StHoles::from_bytes(&h.to_bytes()).unwrap();
+        let wl = WorkloadSpec { count: 60, ..WorkloadSpec::paper(0.012, 9) }
+            .generate(ds.domain(), None);
+        let mut result = ResultSetCounter::empty(ds.ndim());
+        let scan = ScanCounter::new(&ds);
+        for q in wl.queries() {
+            assert!(result.refill_from_counter(&scan, q.rect()));
+            let truth = sth_index::RangeCounter::total(&result) as f64;
+            h.refine_with_truth(q.rect(), &result, truth);
+            back.refine_with_truth(q.rect(), &result, truth);
+            assert_eq!(h.to_bytes(), back.to_bytes(), "replay diverged at query {}", q.rect());
+        }
+        assert_eq!(h.golden_hash(), back.golden_hash());
+        back.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn frozen_flag_survives_the_roundtrip() {
+        let (mut h, _) = trained(20);
+        h.set_frozen(true);
+        let back = StHoles::from_bytes(&h.to_bytes()).unwrap();
+        assert!(back.frozen());
+    }
+
+    #[test]
     fn decoded_histogram_keeps_learning() {
-        let h = trained();
-        let ds = sth_data::cross::CrossSpec::cross2d().scaled(0.02).generate();
+        let (h, ds) = trained(60);
         let counter = ScanCounter::new(&ds);
         let mut back = StHoles::from_bytes(&h.to_bytes()).unwrap();
         let q = Rect::from_bounds(&[200.0, 200.0], &[400.0, 400.0]);
@@ -399,26 +401,61 @@ mod tests {
     }
 
     #[test]
+    fn roundtrip_preserves_estimates() {
+        // A non-default configuration must come back through the shared
+        // header field for field, and the decoded histogram must estimate
+        // exactly as the original does.
+        let ds = sth_data::cross::CrossSpec::cross2d().scaled(0.02).generate();
+        let counter = ScanCounter::new(&ds);
+        let config = SthConfig {
+            budget: 9,
+            min_hole_volume_frac: 1e-4,
+            merge_policy: MergePolicy::ParentChildOnly,
+            sibling_neighbor_cap: Some(3),
+        };
+        let mut h = StHoles::with_config(ds.domain().clone(), config, ds.len() as f64);
+        let wl = WorkloadSpec { count: 40, ..WorkloadSpec::paper(0.01, 6) }
+            .generate(ds.domain(), None);
+        for q in wl.queries() {
+            h.refine(q.rect(), &counter);
+        }
+        let back = StHoles::from_bytes(&h.to_bytes()).unwrap();
+        assert_eq!(back.domain(), h.domain());
+        assert_eq!(back.config.budget, 9);
+        assert_eq!(back.config.min_hole_volume_frac.to_bits(), 1e-4f64.to_bits());
+        assert_eq!(back.config.merge_policy, MergePolicy::ParentChildOnly);
+        assert_eq!(back.config.sibling_neighbor_cap, Some(3));
+        assert_eq!(back.bucket_count(), h.bucket_count());
+        for p in &probes() {
+            assert_eq!(h.estimate(p).to_bits(), back.estimate(p).to_bits(), "mismatch on {p}");
+        }
+    }
+
+    #[test]
     fn rejects_garbage() {
         assert_eq!(StHoles::from_bytes(b"nope").unwrap_err(), DecodeError::BadMagic);
-        assert_eq!(
-            StHoles::from_bytes(b"STH1\x09").unwrap_err(),
-            DecodeError::BadVersion(9)
-        );
-        let mut truncated = trained().to_bytes();
-        truncated.truncate(truncated.len() - 3);
+        assert_eq!(StHoles::from_bytes(b"STI1\x05").unwrap_err(), DecodeError::BadVersion(5));
+        // The canonical stream is hashed, never decoded.
+        let canonical = trained(10).0.canonical_bytes();
+        assert_eq!(StHoles::from_bytes(&canonical).unwrap_err(), DecodeError::BadMagic);
+
+        let mut truncated = trained(40).0.to_bytes();
+        truncated.truncate(truncated.len() - 2);
         assert!(matches!(StHoles::from_bytes(&truncated).unwrap_err(), DecodeError::Corrupt(_)));
     }
 
     #[test]
     fn rejects_bitflips_gracefully() {
-        // Flipping any single byte must never panic — either it decodes to a
-        // still-valid histogram or returns an error.
-        let bytes = trained().to_bytes();
-        for i in (0..bytes.len()).step_by(7) {
+        // Any single-byte flip must decode to an error or a still-valid
+        // histogram — never panic (the image has no whole-buffer CRC; the
+        // store's section framing adds that layer on disk).
+        let bytes = trained(40).0.to_bytes();
+        for i in (0..bytes.len()).step_by(3) {
             let mut m = bytes.clone();
             m[i] ^= 0xFF;
-            let _ = StHoles::from_bytes(&m);
+            if let Ok(h) = StHoles::from_bytes(&m) {
+                h.check_invariants().unwrap();
+            }
         }
     }
 
@@ -427,78 +464,98 @@ mod tests {
         let h = StHoles::with_total(Rect::cube(3, 0.0, 10.0), 5, 42.0);
         let back = StHoles::from_bytes(&h.to_bytes()).unwrap();
         assert_eq!(back.bucket_count(), 0);
+        assert_eq!(back.golden_hash(), h.golden_hash());
         assert!((back.estimate(&Rect::cube(3, 0.0, 10.0)) - 42.0).abs() < 1e-9);
     }
 
-    // ---- FrozenHistogram (STF1) -------------------------------------------
-
     #[test]
     fn frozen_roundtrip_is_bit_identical_estimates() {
-        // Mirrors `roundtrip_preserves_estimates`, but on the frozen codec
-        // and with the stronger `to_bits` contract: the decoded snapshot
-        // replays the exact float operations of the encoded one.
-        let h = trained();
+        // Time travel freezes a decoded histogram; that snapshot must
+        // answer exactly as a freeze of the original would.
+        let (h, _) = trained(80);
         let f = h.freeze();
-        let bytes = f.to_bytes();
-        let back = crate::FrozenHistogram::from_bytes(&bytes).unwrap();
-        assert_eq!(back.node_count(), f.node_count());
-        let probes = [
-            Rect::from_bounds(&[0.0, 0.0], &[1000.0, 1000.0]),
-            Rect::from_bounds(&[480.0, 100.0], &[520.0, 900.0]),
-            Rect::from_bounds(&[100.0, 480.0], &[900.0, 520.0]),
-            Rect::from_bounds(&[10.0, 10.0], &[50.0, 50.0]),
-        ];
-        for p in &probes {
-            assert_eq!(
-                f.estimate(p).to_bits(),
-                back.estimate(p).to_bits(),
-                "frozen roundtrip changed the estimate for {p}"
-            );
+        let g = StHoles::from_bytes(&h.to_bytes()).unwrap().freeze();
+        assert_eq!(g.node_count(), f.node_count());
+        assert_eq!(g.golden_hash(), f.golden_hash());
+        for p in &probes() {
+            assert_eq!(g.estimate(p).to_bits(), f.estimate(p).to_bits(), "mismatch on {p}");
         }
-        // Canonical: re-encoding the decoded snapshot is byte-identical.
-        assert_eq!(back.to_bytes(), bytes);
-        assert_eq!(back.golden_hash(), f.golden_hash());
+    }
+
+    /// The image `to_bytes` writes for an arena laid out as `links`
+    /// (`(parent, children)` per slot, all buckets the full domain), so
+    /// every link field is chosen by the test.
+    fn forged_image(links: &[(Option<BucketId>, Vec<BucketId>)]) -> Vec<u8> {
+        let domain = Rect::cube(2, 0.0, 100.0);
+        let slots = links
+            .iter()
+            .map(|(parent, children)| {
+                let (parent, children) = (*parent, children.clone());
+                Some(Bucket { rect: domain.clone(), freq: 1.0, parent, children })
+            })
+            .collect();
+        let forged = StHoles::assemble(
+            BucketArena::from_slots(slots, Vec::new()),
+            0,
+            SthConfig::with_budget(8),
+            links.len() - 1,
+            domain,
+        );
+        assert!(forged.check_invariants().is_err(), "forgery must not be a bucket tree");
+        forged.to_bytes()
     }
 
     #[test]
-    fn frozen_codec_is_canonical_over_slot_history() {
-        // A persist roundtrip remaps arena slots; freezing before and
-        // after must produce identical STF1 bytes (the id-remapping
-        // canonicalization guarantee of the live codec, inherited).
-        let h = trained();
-        let back = StHoles::from_bytes(&h.to_bytes()).unwrap();
-        assert_eq!(h.freeze().to_bytes(), back.freeze().to_bytes());
+    fn cyclic_link_forgeries_are_refused() {
+        // Every link is in range and mutual (a child's parent field names
+        // the bucket listing it), so only the walk from the root tells
+        // these apart from a tree; accepted, either would send `estimate`,
+        // `golden_hash` and `freeze` into unbounded recursion or looping.
+        let root_cycle = forged_image(&[(Some(1), vec![1]), (Some(0), vec![0])]);
+        let detached_cycle =
+            forged_image(&[(None, vec![]), (Some(2), vec![2]), (Some(1), vec![1])]);
+        for image in [root_cycle, detached_cycle] {
+            assert!(matches!(StHoles::from_bytes(&image), Err(DecodeError::Corrupt(_))));
+        }
     }
 
     #[test]
-    fn frozen_rejects_garbage_and_bitflips() {
-        assert_eq!(
-            crate::FrozenHistogram::from_bytes(b"nope").unwrap_err(),
-            DecodeError::BadMagic
+    fn golden_hashes_and_frozen_estimates_ignore_slot_history() {
+        // Relocate every bucket of a trained histogram to a different
+        // arena slot (reversed slot order, free list remapped alike,
+        // children order kept). The image changes; the logical tree does
+        // not, so neither golden hash nor any frozen estimate may move.
+        let (h, _) = trained(80);
+        let arena = h.arena();
+        let n = arena.slot_count();
+        let at = |id: BucketId| n - 1 - id;
+        let slots: Vec<Option<Bucket>> = (0..n)
+            .rev()
+            .map(|i| {
+                arena.slot(i).map(|b| Bucket {
+                    rect: b.rect.clone(),
+                    freq: b.freq,
+                    parent: b.parent.map(at),
+                    children: b.children.iter().map(|&c| at(c)).collect(),
+                })
+            })
+            .collect();
+        let free = arena.free_list().iter().map(|&f| at(f)).collect();
+        let moved = StHoles::assemble(
+            BucketArena::from_slots(slots, free),
+            at(h.root()),
+            h.config.clone(),
+            h.bucket_count(),
+            h.domain().clone(),
         );
-        assert_eq!(
-            crate::FrozenHistogram::from_bytes(b"STF1\x07").unwrap_err(),
-            DecodeError::BadVersion(7)
-        );
-        let bytes = trained().freeze().to_bytes();
-        let mut truncated = bytes.clone();
-        truncated.truncate(truncated.len() - 3);
-        assert!(matches!(
-            crate::FrozenHistogram::from_bytes(&truncated).unwrap_err(),
-            DecodeError::Corrupt(_)
-        ));
-        // Single-byte flips in the section payloads are caught by the
-        // per-section CRC before any structural decoding can misfire.
-        for i in (0..bytes.len()).step_by(5) {
-            let mut m = bytes.clone();
-            m[i] ^= 0xFF;
-            if m == bytes {
-                continue;
-            }
-            assert!(
-                crate::FrozenHistogram::from_bytes(&m).is_err(),
-                "flip at byte {i} went undetected"
-            );
+        moved.check_invariants().unwrap();
+        assert_ne!(moved.to_bytes(), h.to_bytes(), "the permutation must move slots");
+
+        assert_eq!(moved.golden_hash(), h.golden_hash());
+        let (f, g) = (h.freeze(), moved.freeze());
+        assert_eq!(g.golden_hash(), f.golden_hash());
+        for p in &probes() {
+            assert_eq!(g.estimate(p).to_bits(), f.estimate(p).to_bits(), "mismatch on {p}");
         }
     }
 }

@@ -6,11 +6,11 @@
 //! durability cheap — persist an occasional **snapshot** of the state
 //! plus an append-only **delta log** of the feedback absorbed since, and
 //! recovery is "load newest valid snapshot, replay the tail through the
-//! ordinary refine path". Because the snapshot is a verbatim process
-//! image (see `sth_histogram`'s `STI1` codec) and every delta carries
-//! the exact materialized result rows, the recovered histogram is
-//! **bit-identical** to one that never crashed — the crash-matrix test
-//! proves it at every byte offset of a recorded run.
+//! ordinary refine path". Because the snapshot is the histogram's
+//! verbatim process image (`StHoles::to_bytes`, its one codec) and every
+//! delta carries the exact materialized result rows, the recovered
+//! histogram is **bit-identical** to one that never crashed — the
+//! crash-matrix test proves it at every byte offset of a recorded run.
 //!
 //! On disk a store directory holds:
 //!
@@ -27,7 +27,8 @@
 //! [`StoreConfig::retain_generations`] generations, then garbage-collect
 //! everything the new manifest no longer names. Old generations within
 //! the retention window remain openable via [`Store::open_at_epoch`]
-//! (time-travel reads), and their sealed segments double as fallback
+//! (time-travel reads: decode the generation's snapshot, verify its
+//! golden hash, freeze), and their sealed segments double as fallback
 //! replay sources when a newer snapshot file turns out damaged.
 //!
 //! Every byte written goes through the [`vfs::Vfs`] seam, so the entire
@@ -152,6 +153,34 @@ fn seg_name(gen: u64) -> String {
     format!("seg-{gen:010}.dlog")
 }
 
+fn read_manifest(vfs: &dyn Vfs, dir: &Path) -> Result<Manifest, StoreError> {
+    let bytes = vfs
+        .read(&dir.join("MANIFEST"))
+        .map_err(|e| StoreError::Corrupt(format!("unreadable MANIFEST: {e}")))?;
+    Manifest::from_bytes(&bytes)
+        .map_err(|e| StoreError::Corrupt(format!("MANIFEST: {}", e.what())))
+}
+
+/// Reads and decodes the snapshot of manifest entry `entry`: section
+/// checksums, the decoded image's golden hash, and a header that agrees
+/// with the entry.
+fn load_snapshot(
+    vfs: &dyn Vfs,
+    dir: &Path,
+    entry: &GenerationEntry,
+) -> Result<StHoles, StoreError> {
+    let gen = entry.gen;
+    let bytes = vfs
+        .read(&dir.join(snap_name(gen)))
+        .map_err(|e| StoreError::Corrupt(format!("unreadable snapshot {gen}: {e}")))?;
+    let (head, hist) = snapshot::decode(&bytes)
+        .map_err(|e| StoreError::Corrupt(format!("snapshot {gen}: {}", e.what())))?;
+    if (head.gen, head.seq, head.golden) != (entry.gen, entry.seq, entry.golden) {
+        return Err(StoreError::Corrupt(format!("snapshot {gen} header disagrees with manifest")));
+    }
+    Ok(hist)
+}
+
 /// A durable histogram store rooted at one directory.
 ///
 /// The store owns the files; the caller owns the live [`StHoles`] and
@@ -231,27 +260,16 @@ impl Store {
         let dir = dir.into();
         let _span = obs::span("store.open");
         let _t = obs::time_hist(obs::HistKind::StoreRecoverNs);
-        let manifest_bytes = vfs
-            .read(&dir.join("MANIFEST"))
-            .map_err(|e| StoreError::Corrupt(format!("unreadable MANIFEST: {e}")))?;
-        let manifest = Manifest::from_bytes(&manifest_bytes)
-            .map_err(|e| StoreError::Corrupt(format!("MANIFEST: {}", e.what())))?;
+        let manifest = read_manifest(&*vfs, &dir)?;
 
         // Newest snapshot that actually decodes *and* hashes right wins.
-        let mut loaded: Option<(usize, StHoles)> = None;
-        for (idx, entry) in manifest.generations.iter().enumerate().rev() {
-            let path = dir.join(snap_name(entry.gen));
-            let decoded = vfs
-                .read(&path)
-                .ok()
-                .and_then(|bytes| snapshot::decode_live(&bytes).ok())
-                .filter(|(head, _)| head.gen == entry.gen && head.seq == entry.seq);
-            if let Some((_, hist)) = decoded {
-                loaded = Some((idx, hist));
-                break;
-            }
-        }
-        let Some((idx, mut hist)) = loaded else {
+        let Some((idx, mut hist)) = manifest
+            .generations
+            .iter()
+            .enumerate()
+            .rev()
+            .find_map(|(idx, entry)| load_snapshot(&*vfs, &dir, entry).ok().map(|h| (idx, h)))
+        else {
             return Err(StoreError::Corrupt("no retained snapshot decodes".into()));
         };
         let loaded_entry = manifest.generations[idx];
@@ -352,34 +370,21 @@ impl Store {
     }
 
     /// Serves a time-travel read: the frozen histogram of retained
-    /// generation `gen`, straight from its snapshot file's read-path
-    /// section (no live decode, no replay).
+    /// generation `gen` — its snapshot decoded (golden hash verified)
+    /// and frozen, with no replay.
     pub fn open_at_epoch(
         dir: impl AsRef<Path>,
         vfs: &dyn Vfs,
         gen: u64,
     ) -> Result<FrozenHistogram, StoreError> {
         let dir = dir.as_ref();
-        let manifest_bytes = vfs
-            .read(&dir.join("MANIFEST"))
-            .map_err(|e| StoreError::Corrupt(format!("unreadable MANIFEST: {e}")))?;
-        let manifest = Manifest::from_bytes(&manifest_bytes)
-            .map_err(|e| StoreError::Corrupt(format!("MANIFEST: {}", e.what())))?;
+        let manifest = read_manifest(vfs, dir)?;
         let entry = manifest
             .generations
             .iter()
             .find(|e| e.gen == gen)
-            .copied()
             .ok_or(StoreError::UnknownGeneration(gen))?;
-        let bytes = vfs
-            .read(&dir.join(snap_name(gen)))
-            .map_err(|e| StoreError::Corrupt(format!("unreadable snapshot {gen}: {e}")))?;
-        let (head, frozen) = snapshot::decode_frozen(&bytes)
-            .map_err(|e| StoreError::Corrupt(format!("snapshot {gen}: {}", e.what())))?;
-        if head.gen != entry.gen || head.seq != entry.seq {
-            return Err(StoreError::Corrupt(format!("snapshot {gen} header disagrees with manifest")));
-        }
-        Ok(frozen)
+        Ok(load_snapshot(vfs, dir, entry)?.freeze())
     }
 
     /// Durably appends one absorbed query-feedback. Call *before*
@@ -434,7 +439,8 @@ impl Store {
     fn rotate(&mut self, hist: &StHoles) -> Result<u64, StoreError> {
         let _t = obs::time_hist(obs::HistKind::StoreFlushNs);
         let gen = self.manifest.next_gen;
-        let bytes = snapshot::encode(hist, gen, self.seq);
+        let golden = hist.golden_hash();
+        let bytes = snapshot::encode(hist, gen, self.seq, golden);
         let snap = self.path(&snap_name(gen));
         if let Err(e) = self.vfs.write_atomic(&snap, &bytes) {
             self.poison("snapshot write");
@@ -447,7 +453,7 @@ impl Store {
         let mut dropped: Vec<GenerationEntry> =
             generations.iter().copied().filter(|e| e.seq > self.seq).collect();
         generations.retain(|e| e.seq <= self.seq);
-        generations.push(GenerationEntry { gen, seq: self.seq, golden: hist.golden_hash() });
+        generations.push(GenerationEntry { gen, seq: self.seq, golden });
         if generations.len() > self.cfg.retain_generations {
             dropped.extend(generations.drain(..generations.len() - self.cfg.retain_generations));
         }

@@ -102,6 +102,53 @@ fn retention_window_rotates_and_serves_time_travel() {
 }
 
 #[test]
+fn time_travel_verifies_the_golden_hash_and_refuses_v1_snapshots() {
+    use sth_platform::codec::{write_section, ByteWriter};
+    use sth_store::snapshot;
+
+    let rec = record_run(14);
+    let mem: Arc<MemVfs> = Arc::new(MemVfs::from_files(rec.files));
+    let snap = |gen: u64| std::path::Path::new(DIR).join(format!("snap-{gen:010}.sths"));
+
+    // Generation 3 (seq 8) rewritten with generation 4's image under gen
+    // 3's own header: every checksum is valid and the image decodes, but
+    // it is not the state the header's golden hash names.
+    let (_, newer) = snapshot::decode(&mem.read(&snap(4)).unwrap()).expect("decode gen 4");
+    let wrong_state = snapshot::encode(&newer, 3, 8, rec.goldens[8]);
+    mem.set(snap(3), wrong_state.clone());
+    assert!(snapshot::decode(&wrong_state).is_err());
+    match Store::open_at_epoch(DIR, mem.as_ref(), 3) {
+        Err(StoreError::Corrupt(_)) => {}
+        other => panic!("expected Corrupt, got {:?}", other.err()),
+    }
+
+    // A v1-shaped snapshot (header, image, and a trailing frozen section)
+    // is refused with an error, under its own version and under the
+    // current one alike.
+    let mut v1 = ByteWriter::new();
+    v1.bytes(b"SSN1");
+    v1.u8(1);
+    let mut head = ByteWriter::new();
+    head.u64(4);
+    head.u64(12);
+    head.u64(newer.golden_hash());
+    write_section(&mut v1, b'H', head.as_bytes());
+    write_section(&mut v1, b'I', &newer.to_bytes());
+    write_section(&mut v1, b'F', b"frozen columns");
+    let mut v1 = v1.into_bytes();
+    assert!(snapshot::decode(&v1).is_err(), "v1 snapshot accepted");
+    v1[4] = 2;
+    assert!(snapshot::decode(&v1).is_err(), "three-section snapshot accepted");
+    mem.set(snap(4), v1);
+    match Store::open_at_epoch(DIR, mem.as_ref(), 4) {
+        Err(StoreError::Corrupt(_)) => {}
+        other => panic!("expected Corrupt, got {:?}", other.err()),
+    }
+    // The untouched generation still time-travels.
+    assert!(Store::open_at_epoch(DIR, mem.as_ref(), 2).is_ok());
+}
+
+#[test]
 fn corrupt_newest_snapshot_falls_back_and_replays_forward() {
     let rec = record_run(14);
     let mem: Arc<MemVfs> = Arc::new(MemVfs::from_files(rec.files));
