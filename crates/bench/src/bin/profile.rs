@@ -9,6 +9,7 @@ use std::time::Instant;
 use sth_core::build_uninitialized;
 use sth_data::sky::SkySpec;
 use sth_index::{KdCountTree, RangeCounter, ResultSetCounter};
+use sth_platform::obs::{self, Counter};
 use sth_query::{CardinalityEstimator, WorkloadSpec};
 
 fn main() {
@@ -44,6 +45,10 @@ fn main() {
     println!("collect:  {:>8.3}s ({rows_total} rows)", t.elapsed().as_secs_f64());
 
     let mut hist = build_uninitialized(&data, buckets);
+    // Counters are thread-local and cost one branch each, so the timings
+    // below include them either way.
+    obs::force_metrics(true);
+    let before = obs::snapshot();
     let mut t_estimate = 0.0;
     let mut t_collect = 0.0;
     let mut t_drill = 0.0;
@@ -67,4 +72,18 @@ fn main() {
     println!("drill:    {:>8.3}s", t_drill);
     println!("merge:    {:>8.3}s", t_merge);
     println!("buckets:  {}", hist.bucket_count());
+
+    // Merge-search work per refine: parents recomputed, sibling pairs
+    // ranked, and pairs whose penalty fixpoint ran (the rest were skipped
+    // by the penalty lower bound).
+    let d = obs::snapshot().delta(&before);
+    let per_refine = |c: Counter| d.get(c) as f64 / queries.max(1) as f64;
+    let considered = d.get(Counter::SiblingPairsConsidered);
+    let evaluated = d.get(Counter::SiblingPairsEvaluated);
+    println!("merges/refine:           {:>10.1}", per_refine(Counter::Merges));
+    println!("parent refreshes/refine: {:>10.1}", per_refine(Counter::MergeParentRefreshes));
+    println!("pairs considered/refine: {:>10.1}", per_refine(Counter::SiblingPairsConsidered));
+    println!("pairs evaluated/refine:  {:>10.1}", per_refine(Counter::SiblingPairsEvaluated));
+    let share = evaluated as f64 / considered.max(1) as f64;
+    println!("evaluated/considered:    {share:>10.3} ({evaluated} of {considered})");
 }

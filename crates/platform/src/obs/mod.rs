@@ -75,6 +75,14 @@ pub enum Counter {
     Merges,
     /// Stale-heavy merge-heap rebuilds.
     HeapRebuilds,
+    /// Parents whose cached cheapest merges were recomputed during
+    /// compaction.
+    MergeParentRefreshes,
+    /// Candidate sibling pairs those recomputations had to rank.
+    SiblingPairsConsidered,
+    /// Candidate sibling pairs whose penalty fixpoint actually ran; the
+    /// rest were skipped by the penalty lower bound.
+    SiblingPairsEvaluated,
     /// Whole sibling groups skipped by the cached children-hull gate.
     HullGatePrunes,
     /// IPF sweeps over the constraint window.
@@ -123,7 +131,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in JSON/report order.
-    pub const ALL: [Counter; 27] = [
+    pub const ALL: [Counter; 30] = [
         Counter::Queries,
         Counter::IndexProbes,
         Counter::ResultRows,
@@ -132,6 +140,9 @@ impl Counter {
         Counter::Drills,
         Counter::Merges,
         Counter::HeapRebuilds,
+        Counter::MergeParentRefreshes,
+        Counter::SiblingPairsConsidered,
+        Counter::SiblingPairsEvaluated,
         Counter::HullGatePrunes,
         Counter::IpfSweeps,
         Counter::IpfInnerIters,
@@ -164,6 +175,9 @@ impl Counter {
             Counter::Drills => "drills",
             Counter::Merges => "merges",
             Counter::HeapRebuilds => "heap_rebuilds",
+            Counter::MergeParentRefreshes => "merge_parent_refreshes",
+            Counter::SiblingPairsConsidered => "sibling_pairs_considered",
+            Counter::SiblingPairsEvaluated => "sibling_pairs_evaluated",
             Counter::HullGatePrunes => "hull_gate_prunes",
             Counter::IpfSweeps => "ipf_sweeps",
             Counter::IpfInnerIters => "ipf_inner_iters",

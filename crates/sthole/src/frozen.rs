@@ -288,7 +288,9 @@ impl FrozenHistogram {
     /// stack holding each suspended node's `est`/`v_q_own` accumulators,
     /// with the packed query box for each depth level in `scratch.qbs`.
     fn estimate_with(&self, scratch: &mut FrozenScratch, q: &Rect) -> f64 {
-        debug_assert_eq!(q.ndim(), self.ndim, "query dimensionality mismatch");
+        if q.ndim() != self.ndim {
+            return f64::NAN;
+        }
         let span = 2 * self.ndim;
         let frames = &mut scratch.frames;
         frames.clear();
@@ -467,6 +469,9 @@ impl FrozenHistogram {
 }
 
 impl CardinalityEstimator for FrozenHistogram {
+    /// Estimated tuple count in `rect`. A rectangle whose dimensionality
+    /// differs from [`FrozenHistogram::ndim`] is answered with `NaN`; the
+    /// batch paths give the same answer per query and never panic.
     fn estimate(&self, rect: &Rect) -> f64 {
         with_scratch(|scratch| self.estimate_with(scratch, rect))
     }
@@ -490,7 +495,8 @@ impl Estimator for FrozenHistogram {
     /// routes batches of [`KERNEL_MIN_BATCH`] or more through the
     /// lane-oriented kernel (`kernel.rs`); smaller batches take the scalar
     /// loop with one shared traversal scratch, whose per-query results the
-    /// kernel is proven bit-identical to.
+    /// kernel is proven bit-identical to. A wrong-dimension query gets `NaN`
+    /// in its slot, as from `estimate`.
     fn estimate_batch(&self, queries: &[Rect], out: &mut Vec<f64>) {
         let _t = obs::time_hist(obs::HistKind::BatchEstimateNs);
         if queries.len() >= KERNEL_MIN_BATCH {

@@ -197,6 +197,11 @@ impl StHoles {
 
     /// Restricts the merge shapes used during compaction (ablation knob).
     pub fn set_merge_policy(&mut self, policy: MergePolicy) {
+        if policy != self.config.merge_policy {
+            // Cached merges hold no sibling candidates under
+            // `ParentChildOnly`; rebuild them for the new policy.
+            self.merge_accel.invalidate_all();
+        }
         self.config.merge_policy = policy;
     }
 

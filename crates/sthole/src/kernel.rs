@@ -430,19 +430,26 @@ impl FrozenHistogram {
         // allocations; lane spawning wants one flat slab.
         s.qpk.clear();
         s.qpk.reserve(queries.len() * span);
-        for q in queries {
-            debug_assert_eq!(q.ndim(), n, "query dimensionality mismatch");
-            s.qpk.extend_from_slice(q.lo());
-            s.qpk.extend_from_slice(q.hi());
+        for (qi, q) in queries.iter().enumerate() {
+            if q.ndim() == n {
+                s.qpk.extend_from_slice(q.lo());
+                s.qpk.extend_from_slice(q.hi());
+            } else {
+                // Wrong dimensionality: the answer is NaN, and the packed
+                // box is empty (lo = +∞, hi = −∞), so it spawns no lane.
+                out[qi] = f64::NAN;
+                s.qpk.extend(std::iter::repeat_n(f64::INFINITY, n));
+                s.qpk.extend(std::iter::repeat_n(f64::NEG_INFINITY, n));
+            }
         }
 
         // Root worklist: one lane per query that intersects the domain box,
         // in batch order. Mirrors the scalar `intersect_into` operand order
         // (`bounds.max(q_lo)` / `bounds.min(q_hi)`).
         let root = &self.bounds[..span];
-        for (qi, q) in queries.iter().enumerate() {
-            let nonempty =
-                (0..n).all(|d| root[d].max(q.lo()[d]) < root[n + d].min(q.hi()[d]));
+        for qi in 0..queries.len() {
+            let q = &s.qpk[qi * span..(qi + 1) * span];
+            let nonempty = (0..n).all(|d| root[d].max(q[d]) < root[n + d].min(q[n + d]));
             if nonempty {
                 s.qidx.push(qi as u32);
                 s.parent.push(u32::MAX);
@@ -668,7 +675,8 @@ impl FrozenHistogram {
         }
 
         // Root lanes carry the final per-query totals; queries that missed
-        // the domain keep the 0.0 written by `resize` above.
+        // the domain keep the 0.0 written by `resize` above (wrong-dimension
+        // ones the NaN written while packing).
         for l in 0..root_lanes {
             out[s.qidx[l] as usize] = s.est[l];
         }

@@ -22,12 +22,40 @@
 //! tops — O(log parents) per steady-state merge instead of a full parent
 //! scan. [`StHoles::best_merge_exhaustive`] keeps the original full scan
 //! as a brute-force oracle.
+//!
+//! Recomputing one parent is dominated by its sibling pairs, each of which
+//! runs the box-extension fixpoint ([`StHoles::sibling_penalty`]). The
+//! search skips most of them with a lower bound that needs no fixpoint:
+//!
+//! * **The bound.** A sibling penalty is `|f_a − ρ·v_a| + |f_b − ρ·v_b| +
+//!   |f_move − ρ·v_move|`. Dropping the last term and minimising the other
+//!   two over ρ — a convex piecewise-linear function, so the minimum sits
+//!   at `ρ ∈ {0, f_a/v_a, f_b/v_b}` — gives an O(1) bound per pair
+//!   ([`sibling_penalty_bound`]).
+//! * **The slack.** The bound is lowered by `1e-9·(|f_a|+|f_b|+bound)`.
+//!   Rounding in the bound and in the penalty is a few ulps of those
+//!   magnitudes, orders of magnitude below the slack, so rounding can
+//!   never make the bound exceed the penalty it bounds.
+//! * **The order.** Pairs are evaluated by ascending `(bound, position)`
+//!   and the search stops at the first pair whose bound exceeds the best
+//!   penalty found: it and every later pair cost strictly more.
+//! * **The tie rule.** The winner is the least `(penalty, position)`,
+//!   position being the index into the candidate list — exactly what the
+//!   original first-wins strict-`<` scan returns, since penalties are never
+//!   NaN. A pair tying the best penalty has a bound ≤ that penalty, so it
+//!   is still evaluated and can win on position. Merges, tie order and
+//!   every golden hash are unchanged; only fixpoints that cannot win are
+//!   skipped.
+//!
+//! The oracle evaluates every candidate pair in position order, so it
+//! checks the pruned search rather than sharing it.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 use std::cmp::Reverse;
 
 use sth_geometry::Rect;
+use sth_platform::obs;
 
 use crate::scratch::RefineScratch;
 use crate::{Bucket, BucketId, StHoles};
@@ -178,8 +206,29 @@ impl MergeAccel {
 struct SiblingPlan {
     bn_rect: Rect,
     participants: Vec<BucketId>,
-    v_move: f64,
     f_move: f64,
+}
+
+/// Lower bound, minus the rounding slack, on the penalty
+/// [`StHoles::sibling_penalty`] computes for siblings with frequencies
+/// `f_a`, `f_b` and own volumes `v_a`, `v_b` (derivation in the module
+/// docs). The first two penalty terms reach their minimum over all real ρ
+/// at a breakpoint, or anywhere when both volumes are 0, so the bound holds
+/// whatever ρ the fixpoint produces.
+fn sibling_penalty_bound(f_a: f64, v_a: f64, f_b: f64, v_b: f64) -> f64 {
+    let at = |rho: f64| (f_a - rho * v_a).abs() + (f_b - rho * v_b).abs();
+    let mut lb = at(0.0);
+    for (f, v) in [(f_a, v_a), (f_b, v_b)] {
+        if v > 0.0 {
+            let rho = f / v;
+            if !rho.is_finite() {
+                return 0.0; // breakpoint past f64 range: no usable bound
+            }
+            lb = lb.min(at(rho));
+        }
+    }
+    let lb = lb - 1e-9 * (f_a.abs() + f_b.abs() + lb);
+    if lb.is_finite() { lb } else { 0.0 }
 }
 
 impl StHoles {
@@ -257,7 +306,7 @@ impl StHoles {
             if b.children.is_empty() {
                 continue;
             }
-            let entry = self.compute_parent_merges(id, &mut scratch);
+            let entry = self.compute_parent_merges(id, &mut scratch, false);
             consider(&mut best_pc, &entry.best_parent_child);
             match policy {
                 crate::MergePolicy::All => {
@@ -294,11 +343,13 @@ impl StHoles {
             }
         }
         let mut dirty = std::mem::take(&mut accel.dirty);
+        let mut refreshed = 0u64;
         for &id in &dirty {
             accel.dirty_flag[id] = false;
             accel.version[id] = accel.version[id].wrapping_add(1);
             if self.arena.contains(id) && !self.arena.get(id).children.is_empty() {
-                let entry = self.compute_parent_merges(id, &mut scratch);
+                let entry = self.compute_parent_merges(id, &mut scratch, true);
+                refreshed += 1;
                 let version = accel.version[id];
                 if let Some(mp) = &entry.best_parent_child {
                     accel
@@ -317,12 +368,13 @@ impl StHoles {
         }
         dirty.clear();
         accel.dirty = dirty;
+        obs::add(obs::Counter::MergeParentRefreshes, refreshed);
         // Lazy deletion lets stale entries pile up; rebuild both heaps from
         // the cache once they dominate. Amortized O(1) per merge.
         let live = accel.cache.len();
         let stale_heavy = |len: usize| len > 64 && len > 4 * live;
         if stale_heavy(accel.heap_pc.len()) || stale_heavy(accel.heap_sib.len()) {
-            sth_platform::obs::incr(sth_platform::obs::Counter::HeapRebuilds);
+            obs::incr(obs::Counter::HeapRebuilds);
             accel.heap_pc.clear();
             accel.heap_sib.clear();
             for (&id, entry) in &accel.cache {
@@ -358,11 +410,15 @@ impl StHoles {
     /// allocation-free: per-child box/own volumes are hoisted once (the
     /// original recomputed the parent's own volume per candidate, an
     /// O(children²) term), and the sibling search works on packed bounds.
-    fn compute_parent_merges(&self, id: BucketId, scratch: &mut RefineScratch) -> ParentMerges {
+    /// With `prune`, sibling pairs are evaluated in bound order and those
+    /// that cannot win are skipped (module docs); the oracle passes `false`
+    /// and evaluates every candidate pair.
+    fn compute_parent_merges(&self, id: BucketId, scratch: &mut RefineScratch, prune: bool) -> ParentMerges {
         let RefineScratch {
             child_vols,
             child_owns,
             pairs,
+            pair_order,
             pair_buf,
             best2,
             bn_lo,
@@ -374,20 +430,7 @@ impl StHoles {
         } = scratch;
         let bucket = self.arena.get(id);
         let kids = &bucket.children;
-        child_vols.clear();
-        child_owns.clear();
-        for &c in kids {
-            child_vols.push(self.arena.volume_of(c));
-        }
-        // Same arithmetic (and children order) as `BucketArena::own_volume`.
-        let mut v_p = self.arena.volume_of(id);
-        for &v in child_vols.iter() {
-            v_p -= v;
-        }
-        let v_p = v_p.max(0.0);
-        for &c in kids {
-            child_owns.push(self.arena.own_volume(c));
-        }
+        let v_p = self.child_volumes(id, child_vols, child_owns);
 
         let f_p = bucket.freq;
         let mut entry = ParentMerges::default();
@@ -405,32 +448,100 @@ impl StHoles {
             }
         }
 
-        self.sibling_pair_positions(id, pairs, pair_buf, best2);
-        if !pairs.is_empty() {
-            // Sweep order for the penalty evaluations below: children sorted
-            // by dim-0 lower edge (position as tiebreak, so the order is
-            // deterministic under equal edges).
-            x_order.clear();
-            x_order.extend(0..kids.len() as u32);
-            x_order.sort_unstable_by(|&a, &b| {
-                let xa = self.arena.bounds(kids[a as usize])[0];
-                let xb = self.arena.bounds(kids[b as usize])[0];
-                xa.total_cmp(&xb).then(a.cmp(&b))
-            });
+        // `best_merge` never reads the sibling result under this policy.
+        if self.config.merge_policy == crate::MergePolicy::ParentChildOnly {
+            return entry;
         }
-        for &(pi, pj) in pairs.iter() {
-            let (pi, pj) = (pi as usize, pj as usize);
-            let penalty = self.sibling_penalty(
-                id, pi, pj, v_p, child_vols, child_owns, bn_lo, bn_hi, sib_parts, x_order, active,
-            );
-            if entry.best_siblings.as_ref().is_none_or(|x| penalty < x.penalty) {
-                entry.best_siblings = Some(MergePenalty {
-                    penalty,
-                    op: MergeOp::Siblings { parent: id, a: kids[pi], b: kids[pj] },
-                });
+        self.sibling_pair_positions(id, pairs, pair_buf, best2);
+        if pairs.is_empty() {
+            return entry;
+        }
+        self.sweep_order(id, x_order);
+        let mut evaluate = |pi: u32, pj: u32| {
+            self.sibling_penalty(
+                id, pi as usize, pj as usize, v_p, child_vols, child_owns, bn_lo, bn_hi, sib_parts,
+                x_order, active,
+            )
+        };
+        // Winner: the least `(penalty, index into pairs)` — what a
+        // first-wins strict-`<` scan over `pairs` returns.
+        let mut best: Option<(f64, usize)> = None;
+        if prune {
+            pair_order.clear();
+            for (n, &(pi, pj)) in pairs.iter().enumerate() {
+                let (pi, pj) = (pi as usize, pj as usize);
+                let f_a = self.arena.get(kids[pi]).freq;
+                let f_b = self.arena.get(kids[pj]).freq;
+                let bound = sibling_penalty_bound(f_a, child_owns[pi], f_b, child_owns[pj]);
+                pair_order.push((bound, n as u32));
+            }
+            pair_order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let mut evaluated = 0u64;
+            for &(bound, n) in pair_order.iter() {
+                if best.is_some_and(|(p, _)| bound > p) {
+                    break; // this pair and every later one cost more
+                }
+                let n = n as usize;
+                let penalty = evaluate(pairs[n].0, pairs[n].1);
+                debug_assert!(!penalty.is_nan(), "NaN sibling penalty under bucket {id}");
+                evaluated += 1;
+                if best.is_none_or(|(p, m)| penalty < p || (penalty == p && n < m)) {
+                    best = Some((penalty, n));
+                }
+            }
+            obs::add(obs::Counter::SiblingPairsConsidered, pairs.len() as u64);
+            obs::add(obs::Counter::SiblingPairsEvaluated, evaluated);
+        } else {
+            for (n, &(pi, pj)) in pairs.iter().enumerate() {
+                let penalty = evaluate(pi, pj);
+                if best.is_none_or(|(p, _)| penalty < p) {
+                    best = Some((penalty, n));
+                }
             }
         }
+        if let Some((penalty, n)) = best {
+            let (pi, pj) = pairs[n];
+            entry.best_siblings = Some(MergePenalty {
+                penalty,
+                op: MergeOp::Siblings { parent: id, a: kids[pi as usize], b: kids[pj as usize] },
+            });
+        }
         entry
+    }
+
+    /// Fills `child_vols` and `child_owns` with the box and own volumes of
+    /// `id`'s children (children order) and returns `id`'s own volume,
+    /// computed once per parent instead of once per candidate.
+    fn child_volumes(&self, id: BucketId, child_vols: &mut Vec<f64>, child_owns: &mut Vec<f64>) -> f64 {
+        let kids = &self.arena.get(id).children;
+        child_vols.clear();
+        child_owns.clear();
+        for &c in kids {
+            child_vols.push(self.arena.volume_of(c));
+        }
+        // Same arithmetic (and children order) as `BucketArena::own_volume`.
+        let mut v_p = self.arena.volume_of(id);
+        for &v in child_vols.iter() {
+            v_p -= v;
+        }
+        for &c in kids {
+            child_owns.push(self.arena.own_volume(c));
+        }
+        v_p.max(0.0)
+    }
+
+    /// Sweep order for [`StHoles::sibling_penalty`]: positions of `id`'s
+    /// children sorted by dim-0 lower edge (position as tiebreak, so the
+    /// order is deterministic under equal edges).
+    fn sweep_order(&self, id: BucketId, x_order: &mut Vec<u32>) {
+        let kids = &self.arena.get(id).children;
+        x_order.clear();
+        x_order.extend(0..kids.len() as u32);
+        x_order.sort_unstable_by(|&a, &b| {
+            let xa = self.arena.bounds(kids[a as usize])[0];
+            let xb = self.arena.bounds(kids[b as usize])[0];
+            xa.total_cmp(&xb).then(a.cmp(&b))
+        });
     }
 
     /// Fills `pairs` with the sibling pairs worth evaluating under
@@ -718,13 +829,13 @@ impl StHoles {
         let v_p_own = self.arena.own_volume(parent);
         let rho_p = if v_p_own > 0.0 { pa.freq / v_p_own } else { 0.0 };
         let f_move = (rho_p * v_move).min(pa.freq);
-        SiblingPlan { bn_rect, participants, v_move, f_move }
+        SiblingPlan { bn_rect, participants, f_move }
     }
 
     /// Applies a merge. The operation must refer to live buckets with the
     /// stated relationships.
     pub(crate) fn apply_merge(&mut self, op: &MergeOp) {
-        sth_platform::obs::incr(sth_platform::obs::Counter::Merges);
+        obs::incr(obs::Counter::Merges);
         match *op {
             MergeOp::ParentChild { parent, child } => {
                 debug_assert_eq!(self.arena.get(child).parent, Some(parent));
@@ -766,7 +877,6 @@ impl StHoles {
                 p.children.retain(|&c| c != a && c != b && !plan.participants.contains(&c));
                 p.children.push(bn);
                 p.freq = (p.freq - plan.f_move).max(0.0);
-                let _ = plan.v_move; // kept for documentation symmetry
                 self.nonroot_count -= 1;
                 self.arena.tighten_hull(parent);
                 self.arena.tighten_hull(bn);
@@ -784,7 +894,9 @@ impl StHoles {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sth_query::CardinalityEstimator;
+    use sth_index::ResultSetCounter;
+    use sth_platform::check::prelude::*;
+    use sth_query::{CardinalityEstimator, SelfTuning};
 
     fn domain() -> Rect {
         Rect::cube(2, 0.0, 100.0)
@@ -934,5 +1046,96 @@ mod tests {
         h.compact();
         h.check_invariants().unwrap();
         assert_eq!(h.bucket_count(), 0);
+    }
+
+    #[test]
+    fn penalty_bound_handles_degenerate_volumes() {
+        // Both own volumes 0: the penalty's first two terms are constant.
+        assert!(sibling_penalty_bound(3.0, 0.0, 4.0, 0.0) <= 7.0);
+        assert!(sibling_penalty_bound(3.0, 0.0, 4.0, 0.0) > 7.0 - 1e-6);
+        // One volume 0: the other term vanishes at its breakpoint.
+        assert!(sibling_penalty_bound(3.0, 0.0, 4.0, 2.0) > 3.0 - 1e-6);
+        // Equal densities: a merge can be free, so the bound is below 0.
+        assert!(sibling_penalty_bound(5.0, 10.0, 2.0, 4.0) <= 0.0);
+        // A breakpoint past f64 range yields no bound rather than a wrong one.
+        assert_eq!(sibling_penalty_bound(1e300, 1e-300, 1.0, 1.0), 0.0);
+    }
+
+    /// For every parent and every pair of its children (a superset of the
+    /// candidate pairs), the slack-adjusted bound must not exceed the
+    /// penalty the box-extension fixpoint computes.
+    fn assert_bound_sound(h: &StHoles) -> Result<(), TestCaseError> {
+        let mut s = RefineScratch::default();
+        for (id, b) in h.arena.iter() {
+            let kids = &b.children;
+            if kids.len() < 2 {
+                continue;
+            }
+            let v_p = h.child_volumes(id, &mut s.child_vols, &mut s.child_owns);
+            h.sweep_order(id, &mut s.x_order);
+            for pi in 0..kids.len() {
+                for pj in pi + 1..kids.len() {
+                    let penalty = h.sibling_penalty(
+                        id, pi, pj, v_p, &s.child_vols, &s.child_owns, &mut s.bn_lo, &mut s.bn_hi,
+                        &mut s.sib_parts, &s.x_order, &mut s.active,
+                    );
+                    let (f_a, f_b) = (h.arena.get(kids[pi]).freq, h.arena.get(kids[pj]).freq);
+                    let bound = sibling_penalty_bound(f_a, s.child_owns[pi], f_b, s.child_owns[pj]);
+                    prop_assert!(
+                        bound <= penalty,
+                        "bound {bound} > penalty {penalty} for children {pi}, {pj} of {id}\n{}",
+                        h.dump()
+                    );
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// A rectangle on the 12.5-unit grid, so holes tile their parents.
+    fn grid_query() -> impl Strategy<Value = Rect> {
+        (0u32..8, 0u32..8, 1u32..5, 1u32..5).prop_map(|(x, y, w, h)| {
+            let lo = [x as f64 * 12.5, y as f64 * 12.5];
+            let hi = [((x + w) as f64 * 12.5).min(100.0), ((y + h) as f64 * 12.5).min(100.0)];
+            Rect::from_bounds(&lo, &hi)
+        })
+    }
+
+    fn free_query() -> impl Strategy<Value = Rect> {
+        (0.0f64..90.0, 0.0f64..90.0, 1.0f64..60.0, 1.0f64..60.0).prop_map(|(x, y, w, h)| {
+            Rect::from_bounds(&[x, y], &[(x + w).min(100.0), (y + h).min(100.0)])
+        })
+    }
+
+    sth_platform::check! {
+        cases = 48;
+
+        #[test]
+        fn sibling_penalty_bound_never_exceeds_penalty(
+            points in collection::vec((0.0f64..50.0, 0.0f64..50.0), 10..150),
+            grid in collection::vec(grid_query(), 1..25),
+            free in collection::vec(free_query(), 0..10),
+            budget in 3usize..20,
+        ) {
+            // Points fill only the lower-left quarter, so holes elsewhere
+            // get frequency 0. The quadrant prefix makes the root's children
+            // cover its whole volume, and grid-aligned holes keep tiling
+            // their parents as the stream goes on.
+            let rows: Vec<Vec<f64>> = points.iter().map(|&(x, y)| vec![x, y]).collect();
+            let total = rows.len() as f64;
+            let counter = ResultSetCounter::new(rows);
+            let mut h = StHoles::with_total(domain(), budget, total);
+            let mut stream: Vec<Rect> = [(0.0, 0.0), (50.0, 0.0), (0.0, 50.0), (50.0, 50.0)]
+                .map(|(x, y)| Rect::from_bounds(&[x, y], &[x + 50.0, y + 50.0]))
+                .to_vec();
+            for (i, g) in grid.iter().enumerate() {
+                stream.push(g.clone());
+                stream.extend(free.get(i).cloned());
+            }
+            for q in &stream {
+                h.refine(q, &counter);
+                assert_bound_sound(&h)?;
+            }
+        }
     }
 }

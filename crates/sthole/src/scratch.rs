@@ -31,6 +31,9 @@ pub(crate) struct RefineScratch {
     pub child_owns: Vec<f64>,
     /// Candidate sibling pairs as positions into the children list.
     pub pairs: Vec<(u32, u32)>,
+    /// (penalty lower bound, index into `pairs`): the order in which the
+    /// sibling search evaluates candidate pairs.
+    pub pair_order: Vec<(f64, u32)>,
     /// (hull growth, i, j) triples for sibling-pair pruning.
     pub pair_buf: Vec<(f64, u32, u32)>,
     /// Two best merge partners per child during sibling-pair pruning.

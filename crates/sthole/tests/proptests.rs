@@ -197,6 +197,50 @@ check! {
     }
 
     #[test]
+    fn wrong_dimension_queries_answer_nan_on_every_path(
+        points in collection::vec(point_strategy(), 20..100),
+        queries in collection::vec(query_strategy(), 1..20),
+        probes in collection::vec((query_strategy(), 0u8..4), 1..30),
+    ) {
+        // A snapshot answers a rectangle of the wrong dimensionality with
+        // NaN through `estimate`, through `estimate_batch` on both sides of
+        // the kernel threshold, and through the kernel itself — never a
+        // panic, never a silent 0 — while the well-formed queries of the
+        // same batch keep their exact single-query answers.
+        let ds = dataset(&points);
+        let counter = ScanCounter::new(&ds);
+        let mut h = StHoles::with_total(Rect::cube(2, 0.0, 100.0), 10, ds.len() as f64);
+        for q in &queries {
+            h.refine(q, &counter);
+        }
+        let frozen = h.freeze();
+        let batch: Vec<Rect> = probes
+            .iter()
+            .map(|(q, kind)| match kind {
+                0 => Rect::from_bounds(&q.lo()[..1], &q.hi()[..1]),
+                1 => Rect::from_bounds(&[q.lo()[0], q.lo()[1], 0.0], &[q.hi()[0], q.hi()[1], 1.0]),
+                _ => q.clone(),
+            })
+            .collect();
+        let mut dispatch_out = Vec::new();
+        frozen.estimate_batch(&batch, &mut dispatch_out);
+        let mut kernel_out = Vec::new();
+        frozen.estimate_batch_kernel(&batch, &mut kernel_out);
+        prop_assert!(dispatch_out.len() == batch.len() && kernel_out.len() == batch.len());
+        for (i, q) in batch.iter().enumerate() {
+            let single = frozen.estimate(q);
+            if q.ndim() == 2 {
+                prop_assert!(single.is_finite(), "good query {q} answered {single}");
+            } else {
+                prop_assert!(single.is_nan(), "{}-d query answered {single}", q.ndim());
+            }
+            let batched = dispatch_out[i];
+            prop_assert!(batched.to_bits() == single.to_bits(), "batch {batched} vs {single}");
+            prop_assert!(kernel_out[i].to_bits() == single.to_bits(), "kernel {} vs {single}", kernel_out[i]);
+        }
+    }
+
+    #[test]
     fn frozen_snapshot_is_immutable_under_further_refinement(
         points in collection::vec(point_strategy(), 20..100),
         queries in collection::vec(query_strategy(), 2..20),

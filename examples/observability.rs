@@ -44,7 +44,7 @@ fn main() {
     for c in obs::Counter::ALL {
         let v = out.provenance.counters.get(c);
         if v > 0 {
-            println!("  {:>22}  {v}", c.name());
+            println!("  {:>24}  {v}", c.name());
         }
     }
     let run_counters = out.provenance.counters.clone();
