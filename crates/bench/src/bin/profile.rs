@@ -74,8 +74,9 @@ fn main() {
     println!("buckets:  {}", hist.bucket_count());
 
     // Merge-search work per refine: parents recomputed, sibling pairs
-    // ranked, and pairs whose penalty fixpoint ran (the rest were skipped
-    // by the penalty lower bound).
+    // ranked, pairs whose penalty was computed (the rest were skipped by
+    // the penalty lower bound), and pairs whose box-extension fixpoint ran
+    // (the rest reused a cached one).
     let d = obs::snapshot().delta(&before);
     let per_refine = |c: Counter| d.get(c) as f64 / queries.max(1) as f64;
     let considered = d.get(Counter::SiblingPairsConsidered);
@@ -84,6 +85,10 @@ fn main() {
     println!("parent refreshes/refine: {:>10.1}", per_refine(Counter::MergeParentRefreshes));
     println!("pairs considered/refine: {:>10.1}", per_refine(Counter::SiblingPairsConsidered));
     println!("pairs evaluated/refine:  {:>10.1}", per_refine(Counter::SiblingPairsEvaluated));
+    println!("fixpoints run/refine:    {:>10.1}", per_refine(Counter::SiblingFixpointsRun));
     let share = evaluated as f64 / considered.max(1) as f64;
     println!("evaluated/considered:    {share:>10.3} ({evaluated} of {considered})");
+    let run = d.get(Counter::SiblingFixpointsRun);
+    let share = run as f64 / evaluated.max(1) as f64;
+    println!("fixpoints run/evaluated: {share:>10.3} ({run} of {evaluated})");
 }

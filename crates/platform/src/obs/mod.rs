@@ -80,9 +80,13 @@ pub enum Counter {
     MergeParentRefreshes,
     /// Candidate sibling pairs those recomputations had to rank.
     SiblingPairsConsidered,
-    /// Candidate sibling pairs whose penalty fixpoint actually ran; the
-    /// rest were skipped by the penalty lower bound.
+    /// Candidate sibling pairs whose penalty was computed, from a fresh or
+    /// a cached box-extension fixpoint; the rest were skipped by the
+    /// penalty lower bound.
     SiblingPairsEvaluated,
+    /// Evaluated sibling pairs whose box-extension fixpoint actually ran;
+    /// the rest reused the fixpoint cached at an earlier refresh.
+    SiblingFixpointsRun,
     /// Whole sibling groups skipped by the cached children-hull gate.
     HullGatePrunes,
     /// IPF sweeps over the constraint window.
@@ -131,7 +135,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in JSON/report order.
-    pub const ALL: [Counter; 30] = [
+    pub const ALL: [Counter; 31] = [
         Counter::Queries,
         Counter::IndexProbes,
         Counter::ResultRows,
@@ -143,6 +147,7 @@ impl Counter {
         Counter::MergeParentRefreshes,
         Counter::SiblingPairsConsidered,
         Counter::SiblingPairsEvaluated,
+        Counter::SiblingFixpointsRun,
         Counter::HullGatePrunes,
         Counter::IpfSweeps,
         Counter::IpfInnerIters,
@@ -178,6 +183,7 @@ impl Counter {
             Counter::MergeParentRefreshes => "merge_parent_refreshes",
             Counter::SiblingPairsConsidered => "sibling_pairs_considered",
             Counter::SiblingPairsEvaluated => "sibling_pairs_evaluated",
+            Counter::SiblingFixpointsRun => "sibling_fixpoints_run",
             Counter::HullGatePrunes => "hull_gate_prunes",
             Counter::IpfSweeps => "ipf_sweeps",
             Counter::IpfInnerIters => "ipf_inner_iters",

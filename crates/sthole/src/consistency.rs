@@ -275,7 +275,7 @@ impl Estimator for ConsistentStHoles {
 
 impl SelfTuning for ConsistentStHoles {
     fn refine(&mut self, query: &Rect, feedback: &dyn RangeCounter) {
-        if self.hist.frozen() {
+        if self.hist.frozen() || !self.hist.accepts(query) {
             return;
         }
         // No truth supplied: pay one count for it, then take the shared
@@ -285,8 +285,10 @@ impl SelfTuning for ConsistentStHoles {
         self.refine_with_truth(query, feedback, truth);
     }
 
+    /// A frozen histogram or a wrong-dimension `query` changes nothing and
+    /// records no constraint.
     fn refine_with_truth(&mut self, query: &Rect, feedback: &dyn RangeCounter, truth: f64) {
-        if self.hist.frozen() {
+        if self.hist.frozen() || !self.hist.accepts(query) {
             return;
         }
         self.hist.refine(query, feedback);

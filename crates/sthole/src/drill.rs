@@ -16,7 +16,11 @@ impl StHoles {
     /// Public drilling entry point without budget enforcement — exposed for
     /// diagnostics and profiling tools; normal callers use
     /// [`SelfTuning::refine`](sth_query::SelfTuning::refine).
+    /// A wrong-dimension `query` drills nothing.
     pub fn drill_only(&mut self, query: &Rect, feedback: &dyn RangeCounter) {
+        if !self.accepts(query) {
+            return;
+        }
         self.drill_for_query(query, feedback);
     }
 

@@ -205,6 +205,13 @@ impl StHoles {
         self.config.merge_policy = policy;
     }
 
+    /// `true` when `rect` has the histogram's dimensionality. Every entry
+    /// point checks this once, before any `Rect` call: a wrong-dimension
+    /// rectangle is estimated as `NaN` and refines nothing.
+    pub(crate) fn accepts(&self, rect: &Rect) -> bool {
+        rect.ndim() == self.domain.ndim()
+    }
+
     /// Number of buckets excluding the root.
     pub fn bucket_count(&self) -> usize {
         self.nonroot_count
@@ -379,7 +386,12 @@ impl StHoles {
 }
 
 impl CardinalityEstimator for StHoles {
+    /// Estimated tuple count in `rect`; `NaN` when `rect`'s dimensionality
+    /// differs from the histogram's, as from `FrozenHistogram::estimate`.
     fn estimate(&self, rect: &Rect) -> f64 {
+        if !self.accepts(rect) {
+            return f64::NAN;
+        }
         self.estimate_rec(self.root, rect)
     }
 
@@ -399,8 +411,10 @@ impl Estimator for StHoles {
 }
 
 impl SelfTuning for StHoles {
+    /// Drills `query` and compacts; a frozen histogram or a
+    /// wrong-dimension `query` leaves the histogram unchanged.
     fn refine(&mut self, query: &Rect, feedback: &dyn RangeCounter) {
-        if self.frozen {
+        if self.frozen || !self.accepts(query) {
             return;
         }
         let _t = obs::time_hist(obs::HistKind::RefineNs);

@@ -24,7 +24,7 @@
 //! as a brute-force oracle.
 //!
 //! Recomputing one parent is dominated by its sibling pairs, each of which
-//! runs the box-extension fixpoint ([`StHoles::sibling_penalty`]). The
+//! runs the box-extension fixpoint ([`StHoles::sibling_fixpoint`]). The
 //! search skips most of them with a lower bound that needs no fixpoint:
 //!
 //! * **The bound.** A sibling penalty is `|f_a − ρ·v_a| + |f_b − ρ·v_b| +
@@ -47,8 +47,44 @@
 //!   every golden hash are unchanged; only fixpoints that cannot win are
 //!   skipped.
 //!
-//! The oracle evaluates every candidate pair in position order, so it
-//! checks the pruned search rather than sharing it.
+//! A refresh re-evaluates the surviving pairs of its parent, yet one merge
+//! or drill changes only two or three of the parent's children. The
+//! fixpoint's geometry — merged box, participant ids (children order),
+//! `bn_vol` and `v_move` — depends on the sibling boxes alone, so a
+//! per-parent [`FixpointCache`] keeps it across refreshes, together with a
+//! snapshot of the children (ids and packed bounds) it was computed from:
+//!
+//! * **The validity rule.** The next refresh diffs the snapshot against
+//!   the current children. A child is *unchanged* when its id is still
+//!   there with bit-identical bounds; every other old or new child box is
+//!   *changed* (a recycled slot with a new box counts as removed plus
+//!   added). A cached pair survives when `a` and `b` are unchanged and
+//!   every changed box is disjoint from its merged box under the
+//!   fixpoint's own test: some `d` with `max(lo) ≥ min(hi)`. A pair the
+//!   last refresh did not evaluate is dropped too, which bounds the cache
+//!   by one refresh's evaluated pairs.
+//! * **Why survivors are exact.** Every intermediate box of the extension
+//!   lies inside the final box `B`, so a box disjoint from `B` is disjoint
+//!   from each of them: a removed child never took part in reaching `B`,
+//!   and an added one neither extends `B` nor becomes a participant. `B`
+//!   is still reached from `hull(a, b)` by the same steps and is still a
+//!   fixpoint, and the least fixpoint does not depend on visit order.
+//! * **Why hits are bit-identical.** A hit skips only the fixpoint; the
+//!   penalty tail ([`StHoles::sibling_penalty_tail`]) is shared with the
+//!   miss path and reads the parent's current frequency and own volume and
+//!   `a`'s and `b`'s current children. Participants are subtracted in
+//!   children order on both paths — every child-list edit is retain plus
+//!   append, so unchanged children keep their relative order — and an
+//!   unchanged child's box volume is the one the miss path reads.
+//!
+//! The cache is acceleration state like [`ParentMerges`]: `Clone`,
+//! persistence and `invalidate_all` drop it, and so does a parent's death
+//! or the loss of its children. The sweep order a miss needs is built on
+//! the first miss of a refresh.
+//!
+//! The oracle evaluates every candidate pair in position order and runs
+//! every fixpoint afresh, so it checks the pruned search and the fixpoint
+//! cache rather than sharing them.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
@@ -58,7 +94,7 @@ use sth_geometry::Rect;
 use sth_platform::obs;
 
 use crate::scratch::RefineScratch;
-use crate::{Bucket, BucketId, StHoles};
+use crate::{Bucket, BucketArena, BucketId, StHoles};
 
 /// A concrete merge to apply.
 #[derive(Clone, Debug, PartialEq)]
@@ -144,6 +180,9 @@ impl Ord for HeapEntry {
 #[derive(Debug)]
 pub(crate) struct MergeAccel {
     cache: HashMap<BucketId, ParentMerges>,
+    /// Per-slot sibling-pair fixpoints of the parent there, kept across
+    /// refreshes.
+    fixpoints: Vec<FixpointCache>,
     /// Per-slot version; bumping it invalidates all queued heap entries.
     version: Vec<u64>,
     dirty: Vec<BucketId>,
@@ -157,6 +196,7 @@ impl Default for MergeAccel {
     fn default() -> Self {
         Self {
             cache: HashMap::new(),
+            fixpoints: Vec::new(),
             version: Vec::new(),
             dirty: Vec::new(),
             dirty_flag: Vec::new(),
@@ -172,6 +212,7 @@ impl MergeAccel {
         if id >= self.version.len() {
             self.version.resize(id + 1, 0);
             self.dirty_flag.resize(id + 1, false);
+            self.fixpoints.resize_with(id + 1, FixpointCache::default);
         }
     }
 
@@ -201,8 +242,155 @@ impl MergeAccel {
     }
 }
 
-/// Everything needed to apply a sibling merge. (Penalty evaluation during
-/// the search uses the allocation-free [`StHoles::sibling_penalty`].)
+/// Box-extension results of the sibling pairs evaluated under one parent,
+/// valid for the children snapshot taken at its last refresh (module docs).
+/// Flat buffers, reused across refreshes.
+#[derive(Debug, Default)]
+pub(crate) struct FixpointCache {
+    /// The parent's children at the last refresh.
+    kids: Vec<BucketId>,
+    /// Their packed bounds, `2·ndim` values per child.
+    kid_bounds: Vec<f64>,
+    /// Cached pairs; pair `k`'s merged box is the `k`-th packed box of
+    /// `boxes`.
+    pairs: Vec<CachedFixpoint>,
+    boxes: Vec<f64>,
+    /// Participant ids, one run per pair, each in children order.
+    parts: Vec<BucketId>,
+    /// `(position of a, position of b, index into pairs)` for every pair,
+    /// sorted; rebuilt by each [`FixpointCache::revalidate`].
+    by_pos: Vec<(u32, u32, u32)>,
+}
+
+/// The geometry of one cached sibling pair `(a, b)`.
+#[derive(Clone, Copy, Debug)]
+struct CachedFixpoint {
+    a: BucketId,
+    b: BucketId,
+    parts_at: u32,
+    parts_len: u32,
+    /// Evaluated since the last revalidation.
+    used: bool,
+    bn_vol: f64,
+    v_move: f64,
+}
+
+impl FixpointCache {
+    /// Brings the cache up to date with `kids`, the parent's current
+    /// children: drops every pair a changed child may affect (validity
+    /// rule in the module docs) or that went unused since the last call,
+    /// indexes the survivors by their current positions, and snapshots
+    /// `kids`.
+    fn revalidate(&mut self, arena: &BucketArena, kids: &[BucketId], pos_of: &mut Vec<u32>, changed: &mut Vec<f64>) {
+        // `pos_of[c]` ends up as c's position when c is unchanged, and
+        // with the OLD bit set otherwise (NONE included).
+        const NONE: u32 = u32::MAX;
+        const OLD: u32 = 1 << 31;
+        let span = arena.bounds(kids[0]).len();
+        let n = span / 2;
+        pos_of.clear();
+        pos_of.resize(arena.slot_count(), NONE);
+        changed.clear();
+        let old_box = |i: usize| &self.kid_bounds[i * span..(i + 1) * span];
+        for (i, &o) in self.kids.iter().enumerate() {
+            pos_of[o] = OLD | i as u32;
+        }
+        for (j, &c) in kids.iter().enumerate() {
+            let cur = arena.bounds(c);
+            let p = pos_of[c];
+            let same = p != NONE
+                && p & OLD != 0
+                && cur.iter().zip(old_box((p & !OLD) as usize)).all(|(x, y)| x.to_bits() == y.to_bits());
+            if same {
+                pos_of[c] = j as u32;
+            } else {
+                changed.extend_from_slice(cur);
+            }
+        }
+        for (i, &o) in self.kids.iter().enumerate() {
+            if pos_of[o] == OLD | i as u32 {
+                changed.extend_from_slice(old_box(i));
+            }
+        }
+
+        let mut kept = 0;
+        let mut parts_kept = 0;
+        self.by_pos.clear();
+        for k in 0..self.pairs.len() {
+            let e = self.pairs[k];
+            let (pa, pb) = (pos_of[e.a], pos_of[e.b]);
+            if (pa | pb) & OLD != 0 || !e.used {
+                continue;
+            }
+            let bx = &self.boxes[k * span..(k + 1) * span];
+            let touched = changed
+                .chunks_exact(span)
+                .any(|cb| (0..n).all(|d| bx[d].max(cb[d]) < bx[n + d].min(cb[n + d])));
+            if touched {
+                continue;
+            }
+            let at = e.parts_at as usize;
+            self.boxes.copy_within(k * span..(k + 1) * span, kept * span);
+            self.parts.copy_within(at..at + e.parts_len as usize, parts_kept);
+            self.pairs[kept] = CachedFixpoint { parts_at: parts_kept as u32, used: false, ..e };
+            self.by_pos.push((pa, pb, kept as u32));
+            kept += 1;
+            parts_kept += e.parts_len as usize;
+        }
+        self.pairs.truncate(kept);
+        self.boxes.truncate(kept * span);
+        self.parts.truncate(parts_kept);
+        self.by_pos.sort_unstable();
+
+        self.kids.clear();
+        self.kids.extend_from_slice(kids);
+        self.kid_bounds.clear();
+        for &c in kids {
+            self.kid_bounds.extend_from_slice(arena.bounds(c));
+        }
+    }
+
+    /// The cached pair of the children at positions `pi`, `pj`, with its
+    /// participant ids; marks it used.
+    fn lookup(&mut self, pi: usize, pj: usize) -> Option<(&CachedFixpoint, &[BucketId])> {
+        let key = (pi as u32, pj as u32);
+        let i = self.by_pos.binary_search_by(|&(x, y, _)| (x, y).cmp(&key)).ok()?;
+        let e = &mut self.pairs[self.by_pos[i].2 as usize];
+        e.used = true;
+        let e = &*e;
+        let at = e.parts_at as usize;
+        Some((e, &self.parts[at..at + e.parts_len as usize]))
+    }
+
+    /// Caches the fixpoint just computed for siblings `a`, `b`.
+    #[allow(clippy::too_many_arguments)]
+    fn insert(
+        &mut self,
+        a: BucketId,
+        b: BucketId,
+        bn_lo: &[f64],
+        bn_hi: &[f64],
+        parts: impl Iterator<Item = BucketId>,
+        bn_vol: f64,
+        v_move: f64,
+    ) {
+        let parts_at = self.parts.len();
+        self.parts.extend(parts);
+        let parts_len = (self.parts.len() - parts_at) as u32;
+        self.boxes.extend_from_slice(bn_lo);
+        self.boxes.extend_from_slice(bn_hi);
+        self.pairs.push(CachedFixpoint { a, b, parts_at: parts_at as u32, parts_len, used: true, bn_vol, v_move });
+    }
+}
+
+/// The share of a parent's frequency `f_p` that moves into a merged sibling
+/// bucket taking `v_move` of the parent's own volume `v_p_own`.
+fn moved_freq(f_p: f64, v_p_own: f64, v_move: f64) -> f64 {
+    let rho_p = if v_p_own > 0.0 { f_p / v_p_own } else { 0.0 };
+    (rho_p * v_move).min(f_p)
+}
+
+/// Everything needed to apply a sibling merge.
 struct SiblingPlan {
     bn_rect: Rect,
     participants: Vec<BucketId>,
@@ -210,7 +398,7 @@ struct SiblingPlan {
 }
 
 /// Lower bound, minus the rounding slack, on the penalty
-/// [`StHoles::sibling_penalty`] computes for siblings with frequencies
+/// [`StHoles::sibling_penalty_tail`] computes for siblings with frequencies
 /// `f_a`, `f_b` and own volumes `v_a`, `v_b` (derivation in the module
 /// docs). The first two penalty terms reach their minimum over all real ρ
 /// at a breakpoint, or anywhere when both volumes are 0, so the bound holds
@@ -306,7 +494,7 @@ impl StHoles {
             if b.children.is_empty() {
                 continue;
             }
-            let entry = self.compute_parent_merges(id, &mut scratch, false);
+            let entry = self.compute_parent_merges(id, &mut scratch, None);
             consider(&mut best_pc, &entry.best_parent_child);
             match policy {
                 crate::MergePolicy::All => {
@@ -332,6 +520,7 @@ impl StHoles {
         if accel.rebuild_all {
             accel.rebuild_all = false;
             accel.cache.clear();
+            accel.fixpoints.iter_mut().for_each(|f| *f = FixpointCache::default());
             accel.heap_pc.clear();
             accel.heap_sib.clear();
             accel.dirty.clear();
@@ -348,7 +537,7 @@ impl StHoles {
             accel.dirty_flag[id] = false;
             accel.version[id] = accel.version[id].wrapping_add(1);
             if self.arena.contains(id) && !self.arena.get(id).children.is_empty() {
-                let entry = self.compute_parent_merges(id, &mut scratch, true);
+                let entry = self.compute_parent_merges(id, &mut scratch, Some(&mut accel.fixpoints[id]));
                 refreshed += 1;
                 let version = accel.version[id];
                 if let Some(mp) = &entry.best_parent_child {
@@ -364,6 +553,7 @@ impl StHoles {
                 accel.cache.insert(id, entry);
             } else {
                 accel.cache.remove(&id);
+                accel.fixpoints[id] = FixpointCache::default();
             }
         }
         dirty.clear();
@@ -406,14 +596,20 @@ impl StHoles {
         }
     }
 
-    /// Computes the cheapest merges below parent `id` from scratch,
-    /// allocation-free: per-child box/own volumes are hoisted once (the
-    /// original recomputed the parent's own volume per candidate, an
-    /// O(children²) term), and the sibling search works on packed bounds.
-    /// With `prune`, sibling pairs are evaluated in bound order and those
-    /// that cannot win are skipped (module docs); the oracle passes `false`
-    /// and evaluates every candidate pair.
-    fn compute_parent_merges(&self, id: BucketId, scratch: &mut RefineScratch, prune: bool) -> ParentMerges {
+    /// Computes the cheapest merges below parent `id`, allocation-free:
+    /// per-child box/own volumes are hoisted once (the original recomputed
+    /// the parent's own volume per candidate, an O(children²) term), and the
+    /// sibling search works on packed bounds. With a fixpoint cache (the
+    /// accelerated search), sibling pairs are evaluated in bound order,
+    /// those that cannot win are skipped, and cached fixpoints are reused
+    /// (module docs); the oracle passes `None`, evaluating every candidate
+    /// pair with a fresh fixpoint.
+    fn compute_parent_merges(
+        &self,
+        id: BucketId,
+        scratch: &mut RefineScratch,
+        mut fixpoints: Option<&mut FixpointCache>,
+    ) -> ParentMerges {
         let RefineScratch {
             child_vols,
             child_owns,
@@ -426,6 +622,8 @@ impl StHoles {
             sib_parts,
             x_order,
             active,
+            pos_of,
+            changed,
             ..
         } = scratch;
         let bucket = self.arena.get(id);
@@ -452,16 +650,35 @@ impl StHoles {
         if self.config.merge_policy == crate::MergePolicy::ParentChildOnly {
             return entry;
         }
+        let prune = fixpoints.is_some();
+        if let Some(fc) = fixpoints.as_deref_mut() {
+            fc.revalidate(&self.arena, kids, pos_of, changed);
+        }
         self.sibling_pair_positions(id, pairs, pair_buf, best2);
         if pairs.is_empty() {
             return entry;
         }
-        self.sweep_order(id, x_order);
+        let mut swept = false;
+        let mut fixpoints_run = 0u64;
         let mut evaluate = |pi: u32, pj: u32| {
-            self.sibling_penalty(
-                id, pi as usize, pj as usize, v_p, child_vols, child_owns, bn_lo, bn_hi, sib_parts,
-                x_order, active,
-            )
+            let (pi, pj) = (pi as usize, pj as usize);
+            if let Some((hit, parts)) = fixpoints.as_deref_mut().and_then(|fc| fc.lookup(pi, pj)) {
+                let part_vols = parts.iter().map(|&p| self.arena.volume_of(p));
+                return self.sibling_penalty_tail(id, pi, pj, v_p, child_owns, hit.bn_vol, hit.v_move, part_vols);
+            }
+            if !swept {
+                self.sweep_order(id, x_order);
+                swept = true;
+            }
+            let (bn_vol, v_move) =
+                self.sibling_fixpoint(id, pi, pj, child_vols, bn_lo, bn_hi, sib_parts, x_order, active);
+            if let Some(fc) = fixpoints.as_deref_mut() {
+                let parts = sib_parts.iter().map(|&p| kids[p as usize]);
+                fc.insert(kids[pi], kids[pj], bn_lo, bn_hi, parts, bn_vol, v_move);
+                fixpoints_run += 1;
+            }
+            let part_vols = sib_parts.iter().map(|&p| child_vols[p as usize]);
+            self.sibling_penalty_tail(id, pi, pj, v_p, child_owns, bn_vol, v_move, part_vols)
         };
         // Winner: the least `(penalty, index into pairs)` — what a
         // first-wins strict-`<` scan over `pairs` returns.
@@ -491,6 +708,7 @@ impl StHoles {
             }
             obs::add(obs::Counter::SiblingPairsConsidered, pairs.len() as u64);
             obs::add(obs::Counter::SiblingPairsEvaluated, evaluated);
+            obs::add(obs::Counter::SiblingFixpointsRun, fixpoints_run);
         } else {
             for (n, &(pi, pj)) in pairs.iter().enumerate() {
                 let penalty = evaluate(pi, pj);
@@ -530,7 +748,7 @@ impl StHoles {
         v_p.max(0.0)
     }
 
-    /// Sweep order for [`StHoles::sibling_penalty`]: positions of `id`'s
+    /// Sweep order for [`StHoles::sibling_fixpoint`]: positions of `id`'s
     /// children sorted by dim-0 lower edge (position as tiebreak, so the
     /// order is deterministic under equal edges).
     fn sweep_order(&self, id: BucketId, x_order: &mut Vec<u32>) {
@@ -646,27 +864,25 @@ impl StHoles {
         pairs.dedup();
     }
 
-    /// Penalty of merging children at positions `pi`, `pj` under `parent`.
-    /// Slice-based twin of [`StHoles::sibling_plan`] — every expression
-    /// mirrors the `Rect` methods the plan uses, so both produce identical
-    /// bits; this one just never allocates.
+    /// Box-extension fixpoint of merging the children at positions `pi`,
+    /// `pj` of `parent`: leaves the merged box in `bn_lo`/`bn_hi` and the
+    /// participant positions, in children order, in `sib_parts`, and
+    /// returns `(bn_vol, v_move)`. The one implementation of the extension,
+    /// used by the search, the oracle and [`StHoles::sibling_plan`].
     #[allow(clippy::too_many_arguments)]
-    fn sibling_penalty(
+    fn sibling_fixpoint(
         &self,
         parent: BucketId,
         pi: usize,
         pj: usize,
-        v_p_own: f64,
         child_vols: &[f64],
-        child_owns: &[f64],
         bn_lo: &mut Vec<f64>,
         bn_hi: &mut Vec<f64>,
         sib_parts: &mut Vec<u32>,
         x_order: &[u32],
         active: &mut Vec<u32>,
-    ) -> f64 {
-        let pa = self.arena.get(parent);
-        let kids = &pa.children;
+    ) -> (f64, f64) {
+        let kids = &self.arena.get(parent).children;
         let (a, b) = (kids[pi], kids[pj]);
         let ba = self.arena.bounds(a);
         let bb = self.arena.bounds(b);
@@ -763,9 +979,29 @@ impl StHoles {
         for &p in sib_parts.iter() {
             v_move -= child_vols[p as usize];
         }
-        let v_move = v_move.max(0.0);
-        let rho_p = if v_p_own > 0.0 { pa.freq / v_p_own } else { 0.0 };
-        let f_move = (rho_p * v_move).min(pa.freq);
+        (bn_vol, v_move.max(0.0))
+    }
+
+    /// Penalty of merging the children at positions `pi`, `pj` of `parent`
+    /// into a box of volume `bn_vol` that takes `v_move` of the parent's
+    /// own volume `v_p_own` and swallows participants of volumes
+    /// `part_vols` (children order). Shared by fresh and cached fixpoints,
+    /// so both give the same bits.
+    #[allow(clippy::too_many_arguments)]
+    fn sibling_penalty_tail(
+        &self,
+        parent: BucketId,
+        pi: usize,
+        pj: usize,
+        v_p_own: f64,
+        child_owns: &[f64],
+        bn_vol: f64,
+        v_move: f64,
+        part_vols: impl Iterator<Item = f64>,
+    ) -> f64 {
+        let pa = self.arena.get(parent);
+        let (a, b) = (pa.children[pi], pa.children[pj]);
+        let f_move = moved_freq(pa.freq, v_p_own, v_move);
 
         // Own volume of the merged bucket: its box minus all child boxes
         // (former children of a and b, plus the participants).
@@ -773,8 +1009,8 @@ impl StHoles {
         for &c in self.arena.get(a).children.iter().chain(&self.arena.get(b).children) {
             v_n -= self.arena.volume_of(c);
         }
-        for &p in sib_parts.iter() {
-            v_n -= child_vols[p as usize];
+        for v in part_vols {
+            v_n -= v;
         }
         let v_n = v_n.max(0.0);
 
@@ -787,49 +1023,30 @@ impl StHoles {
         (f_a - rho_n * v_a).abs() + (f_b - rho_n * v_b).abs() + (f_move - rho_n * v_move).abs()
     }
 
-    /// Builds the sibling-merge plan for children `a`, `b` of `parent`.
-    /// Cold path: only `apply_merge` calls this (once per applied merge);
-    /// penalty evaluation during the search uses
-    /// [`StHoles::sibling_penalty`] instead.
-    fn sibling_plan(&self, parent: BucketId, a: BucketId, b: BucketId) -> SiblingPlan {
+    /// Builds the sibling-merge plan for children `a`, `b` of `parent` from
+    /// the same fixpoint the search ran. Cold path: only `apply_merge` calls
+    /// this, once per applied merge.
+    fn sibling_plan(&self, parent: BucketId, a: BucketId, b: BucketId, scratch: &mut RefineScratch) -> SiblingPlan {
         let pa = self.arena.get(parent);
-        let ra = &self.arena.get(a).rect;
-        let rb = &self.arena.get(b).rect;
-        let mut bn_rect = ra.hull(rb);
-        // Extend until no other sibling partially overlaps (Fig. 3 (b)).
-        loop {
-            let mut changed = false;
-            for &s in &pa.children {
-                if s == a || s == b {
-                    continue;
-                }
-                let rs = &self.arena.get(s).rect;
-                if bn_rect.intersects(rs) && !bn_rect.contains_rect(rs) {
-                    bn_rect.extend_to_cover(rs);
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
+        let position = |x: BucketId| pa.children.iter().position(|&c| c == x).expect("merge of a non-child");
+        let v_p_own = self.child_volumes(parent, &mut scratch.child_vols, &mut scratch.child_owns);
+        self.sweep_order(parent, &mut scratch.x_order);
+        let (_, v_move) = self.sibling_fixpoint(
+            parent,
+            position(a),
+            position(b),
+            &scratch.child_vols,
+            &mut scratch.bn_lo,
+            &mut scratch.bn_hi,
+            &mut scratch.sib_parts,
+            &scratch.x_order,
+            &mut scratch.active,
+        );
+        SiblingPlan {
+            bn_rect: Rect::from_bounds(&scratch.bn_lo, &scratch.bn_hi),
+            participants: scratch.sib_parts.iter().map(|&p| pa.children[p as usize]).collect(),
+            f_move: moved_freq(pa.freq, v_p_own, v_move),
         }
-        let participants: Vec<BucketId> = pa
-            .children
-            .iter()
-            .copied()
-            .filter(|&s| s != a && s != b && bn_rect.contains_rect(&self.arena.get(s).rect))
-            .collect();
-
-        // Volume the merged bucket takes over from the parent's own region.
-        let mut v_move = bn_rect.volume() - ra.volume() - rb.volume();
-        for &p in &participants {
-            v_move -= self.arena.get(p).rect.volume();
-        }
-        let v_move = v_move.max(0.0);
-        let v_p_own = self.arena.own_volume(parent);
-        let rho_p = if v_p_own > 0.0 { pa.freq / v_p_own } else { 0.0 };
-        let f_move = (rho_p * v_move).min(pa.freq);
-        SiblingPlan { bn_rect, participants, f_move }
     }
 
     /// Applies a merge. The operation must refer to live buckets with the
@@ -856,7 +1073,9 @@ impl StHoles {
                 self.invalidate_merges(parent);
             }
             MergeOp::Siblings { parent, a, b } => {
-                let plan = self.sibling_plan(parent, a, b);
+                let mut scratch = std::mem::take(&mut self.scratch);
+                let plan = self.sibling_plan(parent, a, b, &mut scratch);
+                self.scratch = scratch;
                 let removed_a = self.arena.dealloc(a);
                 let removed_b = self.arena.dealloc(b);
                 let mut children = removed_a.children;
@@ -1061,6 +1280,16 @@ mod tests {
         assert_eq!(sibling_penalty_bound(1e300, 1e-300, 1.0, 1.0), 0.0);
     }
 
+    /// The sibling penalty from a fresh fixpoint, as the oracle computes it;
+    /// `s` holds `id`'s child volumes and sweep order.
+    fn fresh_penalty(h: &StHoles, id: BucketId, pi: usize, pj: usize, v_p: f64, s: &mut RefineScratch) -> f64 {
+        let (bn_vol, v_move) = h.sibling_fixpoint(
+            id, pi, pj, &s.child_vols, &mut s.bn_lo, &mut s.bn_hi, &mut s.sib_parts, &s.x_order, &mut s.active,
+        );
+        let part_vols = s.sib_parts.iter().map(|&p| s.child_vols[p as usize]);
+        h.sibling_penalty_tail(id, pi, pj, v_p, &s.child_owns, bn_vol, v_move, part_vols)
+    }
+
     /// For every parent and every pair of its children (a superset of the
     /// candidate pairs), the slack-adjusted bound must not exceed the
     /// penalty the box-extension fixpoint computes.
@@ -1075,10 +1304,7 @@ mod tests {
             h.sweep_order(id, &mut s.x_order);
             for pi in 0..kids.len() {
                 for pj in pi + 1..kids.len() {
-                    let penalty = h.sibling_penalty(
-                        id, pi, pj, v_p, &s.child_vols, &s.child_owns, &mut s.bn_lo, &mut s.bn_hi,
-                        &mut s.sib_parts, &s.x_order, &mut s.active,
-                    );
+                    let penalty = fresh_penalty(h, id, pi, pj, v_p, &mut s);
                     let (f_a, f_b) = (h.arena.get(kids[pi]).freq, h.arena.get(kids[pj]).freq);
                     let bound = sibling_penalty_bound(f_a, s.child_owns[pi], f_b, s.child_owns[pj]);
                     prop_assert!(
@@ -1105,6 +1331,73 @@ mod tests {
         (0.0f64..90.0, 0.0f64..90.0, 1.0f64..60.0, 1.0f64..60.0).prop_map(|(x, y, w, h)| {
             Rect::from_bounds(&[x, y], &[(x + w).min(100.0), (y + h).min(100.0)])
         })
+    }
+
+    /// Refreshes the merge cache, then reruns every cached sibling-pair
+    /// fixpoint from scratch and demands a bit-equal merged box, the same
+    /// participants in the same order, and bit-equal `bn_vol` and
+    /// `v_move`. Returns the number of cached pairs checked.
+    fn assert_fixpoint_cache_coherent(h: &mut StHoles) -> Result<usize, TestCaseError> {
+        h.refresh_merge_accel();
+        let mut s = RefineScratch::default();
+        let mut checked = 0;
+        for (id, fc) in h.merge_accel.fixpoints.iter().enumerate() {
+            if fc.pairs.is_empty() {
+                continue;
+            }
+            prop_assert!(h.arena.contains(id), "cache kept for dead parent {id}");
+            let kids = &h.arena.get(id).children;
+            prop_assert_eq!(&fc.kids, kids, "stale children snapshot under {}", id);
+            h.child_volumes(id, &mut s.child_vols, &mut s.child_owns);
+            h.sweep_order(id, &mut s.x_order);
+            let span = h.arena.bounds(id).len();
+            for (k, e) in fc.pairs.iter().enumerate() {
+                let position = |x: BucketId| kids.iter().position(|&c| c == x);
+                let (Some(pi), Some(pj)) = (position(e.a), position(e.b)) else {
+                    return Err(TestCaseError::fail(format!("pair ({}, {}) cached under {id}", e.a, e.b)));
+                };
+                let (bn_vol, v_move) = h.sibling_fixpoint(
+                    id, pi, pj, &s.child_vols, &mut s.bn_lo, &mut s.bn_hi, &mut s.sib_parts, &s.x_order,
+                    &mut s.active,
+                );
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let fresh_box = [bits(&s.bn_lo), bits(&s.bn_hi)].concat();
+                prop_assert_eq!(bits(&fc.boxes[k * span..(k + 1) * span]), fresh_box, "box of ({}, {})", e.a, e.b);
+                let fresh_parts: Vec<BucketId> = s.sib_parts.iter().map(|&p| kids[p as usize]).collect();
+                let at = e.parts_at as usize;
+                prop_assert_eq!(&fc.parts[at..at + e.parts_len as usize], &fresh_parts[..]);
+                prop_assert_eq!(e.bn_vol.to_bits(), bn_vol.to_bits());
+                prop_assert_eq!(e.v_move.to_bits(), v_move.to_bits());
+                checked += 1;
+            }
+        }
+        Ok(checked)
+    }
+
+    /// A root with 20 grid-aligned children, as in `merge_oracle.rs`: the
+    /// 20×20 cells of the first four columns of a 5×5 grid, each drilled
+    /// from `per_row[row]` points per cell, so equal-density neighbours tie.
+    fn tie_heavy_grid(per_row: &[usize]) -> StHoles {
+        const OFFSETS: [(f64, f64); 8] =
+            [(5.0, 5.0), (15.0, 5.0), (5.0, 15.0), (15.0, 15.0), (10.0, 10.0), (10.0, 5.0), (10.0, 15.0), (5.0, 10.0)];
+        let mut rows = Vec::new();
+        for (row, &count) in per_row.iter().enumerate() {
+            for col in 0..5 {
+                for &(dx, dy) in &OFFSETS[..count] {
+                    rows.push(vec![col as f64 * 20.0 + dx, row as f64 * 20.0 + dy]);
+                }
+            }
+        }
+        let total = 4.0 * rows.len() as f64;
+        let counter = ResultSetCounter::new(rows);
+        let mut h = StHoles::with_total(domain(), 64, total);
+        for row in 0..5 {
+            for col in 0..4 {
+                let (x, y) = (col as f64 * 20.0, row as f64 * 20.0);
+                h.drill_only(&Rect::from_bounds(&[x, y], &[x + 20.0, y + 20.0]), &counter);
+            }
+        }
+        h
     }
 
     sth_platform::check! {
@@ -1135,6 +1428,45 @@ mod tests {
             for q in &stream {
                 h.refine(q, &counter);
                 assert_bound_sound(&h)?;
+            }
+        }
+
+        #[test]
+        fn fixpoint_cache_matches_fresh_fixpoints(
+            points in collection::vec((0.0f64..100.0, 0.0f64..100.0), 10..150),
+            grid in collection::vec(grid_query(), 1..30),
+            free in collection::vec(free_query(), 0..15),
+            budget in 2usize..10,
+        ) {
+            // Small budgets merge after nearly every drill, so slots are
+            // recycled and parents gain and lose children all the time.
+            let rows: Vec<Vec<f64>> = points.iter().map(|&(x, y)| vec![x, y]).collect();
+            let total = rows.len() as f64;
+            let counter = ResultSetCounter::new(rows);
+            let mut h = StHoles::with_total(domain(), budget, total);
+            let mut stream = Vec::new();
+            for (i, g) in grid.iter().enumerate() {
+                stream.push(g.clone());
+                stream.extend(free.get(i).cloned());
+            }
+            for q in &stream {
+                h.refine(q, &counter);
+                assert_fixpoint_cache_coherent(&mut h)?;
+            }
+        }
+
+        #[test]
+        fn fixpoint_cache_matches_fresh_fixpoints_on_tie_heavy_grids(
+            per_row in collection::vec(1usize..=8, 5),
+            policy in 0u8..2,
+        ) {
+            let mut h = tie_heavy_grid(&per_row);
+            if policy == 1 {
+                h.set_merge_policy(crate::MergePolicy::SiblingFirst);
+            }
+            while h.bucket_count() > 2 {
+                assert_fixpoint_cache_coherent(&mut h)?;
+                h.set_budget(h.bucket_count() - 1);
             }
         }
     }

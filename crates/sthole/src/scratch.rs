@@ -51,4 +51,10 @@ pub(crate) struct RefineScratch {
     /// Children not yet absorbed by the tentative merged box — the
     /// extension loop's shrinking worklist.
     pub active: Vec<u32>,
+    /// Slot-indexed child positions while a parent's fixpoint cache is
+    /// checked against its current children.
+    pub pos_of: Vec<u32>,
+    /// Packed boxes of the children added or removed since that cache was
+    /// filled.
+    pub changed: Vec<f64>,
 }

@@ -4,8 +4,8 @@
 use sth_platform::check::prelude::*;
 use sth_data::Dataset;
 use sth_geometry::Rect;
-use sth_histogram::StHoles;
-use sth_index::ScanCounter;
+use sth_histogram::{ConsistencyConfig, ConsistentStHoles, StHoles};
+use sth_index::{RangeCounter, ScanCounter};
 use sth_query::{CardinalityEstimator, Estimator, SelfTuning};
 
 /// Builds a small 2-d dataset from a point list within [0, 100)².
@@ -238,6 +238,59 @@ check! {
             prop_assert!(batched.to_bits() == single.to_bits(), "batch {batched} vs {single}");
             prop_assert!(kernel_out[i].to_bits() == single.to_bits(), "kernel {} vs {single}", kernel_out[i]);
         }
+    }
+
+    #[test]
+    fn wrong_dimension_rectangles_leave_live_histograms_unchanged(
+        points in collection::vec(point_strategy(), 20..100),
+        stream in collection::vec((query_strategy(), 0u8..4), 1..30),
+    ) {
+        // The live histogram and its consistent wrapper answer a rectangle
+        // of the wrong dimensionality with NaN, and no refine entry point
+        // lets it touch the tree or the constraint window: each ends where
+        // a twin fed only the well-formed rectangles ends.
+        let ds = dataset(&points);
+        let counter = ScanCounter::new(&ds);
+        let fresh = || StHoles::with_total(Rect::cube(2, 0.0, 100.0), 6, ds.len() as f64);
+        let (mut mixed, mut good) = (fresh(), fresh());
+        let consistent = || ConsistentStHoles::new(fresh(), ConsistencyConfig::default());
+        let (mut mixed_ipf, mut good_ipf) = (consistent(), consistent());
+        for (i, (q, kind)) in stream.iter().enumerate() {
+            let q = match kind {
+                0 => Rect::from_bounds(&q.lo()[..1], &q.hi()[..1]),
+                1 => Rect::from_bounds(&[q.lo()[0], q.lo()[1], 0.0], &[q.hi()[0], q.hi()[1], 1.0]),
+                _ => q.clone(),
+            };
+            let wrong = q.ndim() != 2;
+            let truth = if wrong { 0.0 } else { counter.count(&q) as f64 };
+            let targets: &mut [(&mut StHoles, &mut ConsistentStHoles)] = if wrong {
+                &mut [(&mut mixed, &mut mixed_ipf)]
+            } else {
+                &mut [(&mut mixed, &mut mixed_ipf), (&mut good, &mut good_ipf)]
+            };
+            for (h, ipf) in targets.iter_mut() {
+                match i % 3 {
+                    0 => h.refine(&q, &counter),
+                    1 => h.refine_with_truth(&q, &counter, truth),
+                    _ => {
+                        h.drill_only(&q, &counter);
+                        h.compact_now();
+                    }
+                }
+                if i % 2 == 0 {
+                    ipf.refine(&q, &counter);
+                } else {
+                    ipf.refine_with_truth(&q, &counter, truth);
+                }
+            }
+            if wrong {
+                let (e, e_ipf) = (mixed.estimate(&q), mixed_ipf.estimate(&q));
+                prop_assert!(e.is_nan() && e_ipf.is_nan(), "{}-d query answered {e} / {e_ipf}", q.ndim());
+            }
+        }
+        prop_assert_eq!(mixed.golden_hash(), good.golden_hash());
+        prop_assert_eq!(mixed_ipf.inner().golden_hash(), good_ipf.inner().golden_hash());
+        prop_assert_eq!(mixed_ipf.constraint_count(), good_ipf.constraint_count());
     }
 
     #[test]

@@ -68,3 +68,23 @@ fn id_list_is_complete() {
         }
     }
 }
+
+/// The NAE cells of the micro accuracy runs, as printed. Refine-path
+/// optimisations must be bit-identical, so these never move; timing columns
+/// (`clustering_s`, `sim_s`) are not pinned.
+#[test]
+fn micro_accuracy_cells_are_pinned() {
+    let nae_cells = |id: &str, cols: &[usize]| -> Vec<Vec<String>> {
+        let t = run_by_id(id, &micro()).unwrap();
+        t.rows.iter().map(|r| cols.iter().map(|&c| r[c].clone()).collect()).collect()
+    };
+    assert_eq!(nae_cells("fig11", &[0, 1, 2]), [["15", "0.252", "0.718"]]);
+    assert_eq!(nae_cells("fig12", &[0, 1, 2]), [["15", "0.483", "0.874"]]);
+    assert_eq!(nae_cells("fig13", &[0, 1, 2, 3]), [["15", "0.362", "0.490", "0.906"]]);
+
+    let t = run_by_id("table2", &micro()).unwrap();
+    let col = t.headers.iter().position(|h| h == "error(NAE)").unwrap();
+    let errors: Vec<&str> = t.rows.iter().map(|r| r[col].as_str()).collect();
+    assert_eq!(errors, ["0.400", "0.403", "0.605", "0.286"]);
+    assert_eq!(t.notes[0], "uninitialized STHoles reference error: 0.886");
+}
