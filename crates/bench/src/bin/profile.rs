@@ -73,16 +73,18 @@ fn main() {
     println!("merge:    {:>8.3}s", t_merge);
     println!("buckets:  {}", hist.bucket_count());
 
-    // Merge-search work per refine: parents recomputed, sibling pairs
-    // ranked, pairs whose penalty was computed (the rest were skipped by
-    // the penalty lower bound), and pairs whose box-extension fixpoint ran
-    // (the rest reused a cached one).
+    // Merge-search work per refine: parents recomputed, sibling pair hull
+    // volumes computed to pick candidates (the rest came from the hull
+    // table), sibling pairs ranked, pairs whose penalty was computed (the
+    // rest were skipped by the penalty lower bound), and pairs whose
+    // box-extension fixpoint ran (the rest reused a cached one).
     let d = obs::snapshot().delta(&before);
     let per_refine = |c: Counter| d.get(c) as f64 / queries.max(1) as f64;
     let considered = d.get(Counter::SiblingPairsConsidered);
     let evaluated = d.get(Counter::SiblingPairsEvaluated);
     println!("merges/refine:           {:>10.1}", per_refine(Counter::Merges));
     println!("parent refreshes/refine: {:>10.1}", per_refine(Counter::MergeParentRefreshes));
+    println!("hulls computed/refine:   {:>10.1}", per_refine(Counter::SiblingHullsComputed));
     println!("pairs considered/refine: {:>10.1}", per_refine(Counter::SiblingPairsConsidered));
     println!("pairs evaluated/refine:  {:>10.1}", per_refine(Counter::SiblingPairsEvaluated));
     println!("fixpoints run/refine:    {:>10.1}", per_refine(Counter::SiblingFixpointsRun));

@@ -87,6 +87,9 @@ pub enum Counter {
     /// Evaluated sibling pairs whose box-extension fixpoint actually ran;
     /// the rest reused the fixpoint cached at an earlier refresh.
     SiblingFixpointsRun,
+    /// Sibling-pair hull volumes computed to pick candidate pairs; the
+    /// rest were read from the hull table cached at an earlier refresh.
+    SiblingHullsComputed,
     /// Whole sibling groups skipped by the cached children-hull gate.
     HullGatePrunes,
     /// IPF sweeps over the constraint window.
@@ -135,7 +138,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in JSON/report order.
-    pub const ALL: [Counter; 31] = [
+    pub const ALL: [Counter; 32] = [
         Counter::Queries,
         Counter::IndexProbes,
         Counter::ResultRows,
@@ -148,6 +151,7 @@ impl Counter {
         Counter::SiblingPairsConsidered,
         Counter::SiblingPairsEvaluated,
         Counter::SiblingFixpointsRun,
+        Counter::SiblingHullsComputed,
         Counter::HullGatePrunes,
         Counter::IpfSweeps,
         Counter::IpfInnerIters,
@@ -184,6 +188,7 @@ impl Counter {
             Counter::SiblingPairsConsidered => "sibling_pairs_considered",
             Counter::SiblingPairsEvaluated => "sibling_pairs_evaluated",
             Counter::SiblingFixpointsRun => "sibling_fixpoints_run",
+            Counter::SiblingHullsComputed => "sibling_hulls_computed",
             Counter::HullGatePrunes => "hull_gate_prunes",
             Counter::IpfSweeps => "ipf_sweeps",
             Counter::IpfInnerIters => "ipf_inner_iters",

@@ -33,13 +33,19 @@ pub struct SthConfig {
     pub min_hole_volume_frac: f64,
     /// Merge shapes allowed during compaction.
     pub merge_policy: MergePolicy,
-    /// When a bucket has more children than this, sibling-merge search is
-    /// restricted per child to its `sibling_neighbor_cap` nearest siblings
-    /// (smallest hull-volume growth) instead of all pairs. The cheapest
-    /// merge is almost always between hull-compatible neighbors, so this
-    /// preserves merge quality while turning the per-merge cost from
-    /// O(children³) into O(children²). `None` forces the exact all-pairs
-    /// search everywhere.
+    /// Prunes the sibling-merge search of buckets with many children. With
+    /// `Some(cap)`, a bucket with at most `2·max(cap, 2)` children is
+    /// searched exhaustively (every sibling pair is a candidate). Above
+    /// that, the candidates are each child's `cap.min(2)` hull-nearest
+    /// siblings (smallest hull-volume growth; two at most, so caps above 2
+    /// differ only in the threshold and the top-up) plus the
+    /// `max(8·cap, 16)` pairs of least growth overall. The cheapest merge is
+    /// almost always between hull-compatible neighbors, so this preserves
+    /// merge quality while keeping the candidates O(children). Hull
+    /// volumes are cached per parent, so a refresh computes
+    /// O(children·changed) of them, `changed` being the children that are
+    /// new or have a new box since the last refresh, plus an O(children²)
+    /// pass of subtractions. `None` forces the exact all-pairs search everywhere.
     pub sibling_neighbor_cap: Option<usize>,
 }
 
@@ -115,13 +121,26 @@ impl StHoles {
     /// given bucket budget. The root frequency starts at zero; prefer
     /// [`StHoles::with_total`] when the table cardinality is known (every
     /// DBMS knows it).
+    ///
+    /// # Panics
+    ///
+    /// If the volume of `domain` overflows `f64` (see
+    /// [`StHoles::with_total`]).
     pub fn new(domain: Rect, budget: usize) -> Self {
         Self::with_total(domain, budget, 0.0)
     }
 
     /// Creates an empty histogram whose root carries the total tuple count.
+    ///
+    /// # Panics
+    ///
+    /// If `total` is negative or not finite, or if the volume of `domain`
+    /// overflows `f64`: every bucket volume would then be infinite, every
+    /// candidate hole would count as a sliver, and the histogram would
+    /// never learn.
     pub fn with_total(domain: Rect, budget: usize, total: f64) -> Self {
         assert!(total >= 0.0 && total.is_finite());
+        assert!(domain.volume().is_finite(), "domain volume overflows f64: {domain}");
         let mut arena = BucketArena::new();
         let root = arena.alloc(Bucket::leaf(domain.clone(), total, None));
         Self {
@@ -137,6 +156,10 @@ impl StHoles {
     }
 
     /// Creates a histogram with an explicit configuration.
+    ///
+    /// # Panics
+    ///
+    /// As [`StHoles::with_total`].
     pub fn with_config(domain: Rect, config: SthConfig, total: f64) -> Self {
         let mut h = Self::with_total(domain, 0, total);
         h.config = config;
@@ -361,6 +384,10 @@ impl StHoles {
         // estimator would not terminate on either.
         if !self.arena.contains(self.root) || self.arena.get(self.root).parent.is_some() {
             return Err(format!("root {} is dead or has a parent", self.root));
+        }
+        // Every box lies in the root's, so one finite volume bounds them all.
+        if !self.arena.volume_of(self.root).is_finite() {
+            return Err(format!("root volume overflows f64: {}", self.arena.get(self.root).rect));
         }
         let mut visited = vec![false; self.arena.slot_count()];
         let mut reached = 0usize;

@@ -77,14 +77,54 @@
 //!   append, so unchanged children keep their relative order — and an
 //!   unchanged child's box volume is the one the miss path reads.
 //!
+//! Before any of that, a parent with more than `2·max(cap, 2)` children
+//! picks its candidate pairs by hull growth `vol(hull(a, b)) − vol(a) −
+//! vol(b)`, a cheap proxy for how much foreign volume a merge would absorb
+//! (see [`crate::SthConfig::sibling_neighbor_cap`]). The same cache holds
+//! a [`HullTable`] for it:
+//!
+//! * **The table.** The hull volume `v(a, b)` of every pair (the d-product
+//!   only) and each child's two least-growth partners (`best2`). Rows are
+//!   keyed by a cache-local *slot*: a removed child frees its slot and an
+//!   added one reuses a free slot, so no row moves when positions shift
+//!   and the table never needs an O(k²) compaction. It costs
+//!   `slots² × 8 B`.
+//! * **The validity rule.** The table shares the fixpoint cache's diff,
+//!   one per refresh. An unchanged child keeps its slot and its row. A
+//!   changed child gets a fresh slot, and its hull volumes with every
+//!   current child are recomputed: O(k·changed·d) per refresh instead of
+//!   O(k²·d). A hull volume depends on the two boxes alone, so the
+//!   volumes of unchanged pairs stay exact.
+//! * **Why growths are bit-identical.** A growth is recomputed from the
+//!   cached `v` with the row owner's volume subtracted first, as the
+//!   all-pairs loop did for each side. `v` is the product that loop took,
+//!   with the earlier position's bounds first: unchanged children keep
+//!   their relative order, so the earlier child stays earlier.
+//! * **Why `best2` is bit-identical.** The all-pairs loop's strict-`<`
+//!   updates in ascending partner position keep each child's two least
+//!   `(growth, position)` partners under plain `<`, so `−0.0 == +0.0` and
+//!   the earlier position wins. A row is rescanned in that order when its
+//!   child or one of its two partners changed. Otherwise its two partners
+//!   are still its two least among the unchanged children, and offering
+//!   only the changed children under the same order gives the same two.
+//! * **Why the top-up is bit-identical.** It keeps the `max(8·cap, 16)`
+//!   least growths. Its input is rebuilt from the table in the all-pairs
+//!   loop's `(i, j)` order, with the same growths, and selected with the
+//!   same `select_nth_unstable_by`, so identical input keeps the same
+//!   pairs, ties at the boundary included.
+//!
 //! The cache is acceleration state like [`ParentMerges`]: `Clone`,
 //! persistence and `invalidate_all` drop it, and so does a parent's death
-//! or the loss of its children. The sweep order a miss needs is built on
-//! the first miss of a refresh.
+//! or the loss of its children. A refresh at or below the exhaustive
+//! threshold drops the hull table. The sweep order a miss needs is built
+//! on the first miss of a refresh.
 //!
 //! The oracle evaluates every candidate pair in position order and runs
 //! every fixpoint afresh, so it checks the pruned search and the fixpoint
-//! cache rather than sharing them.
+//! cache rather than sharing them. It picks its candidates with the same
+//! row code on an empty hull table, where every child counts as changed;
+//! the table itself is checked against an all-pairs computation by the
+//! `growth_cache_matches_uncached_candidates*` tests.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
@@ -260,6 +300,241 @@ pub(crate) struct FixpointCache {
     /// `(position of a, position of b, index into pairs)` for every pair,
     /// sorted; rebuilt by each [`FixpointCache::revalidate`].
     by_pos: Vec<(u32, u32, u32)>,
+    /// Hull volumes and nearest siblings of the same children.
+    hulls: HullTable,
+}
+
+/// "No position": a child with no counterpart in the other snapshot.
+const NONE: u32 = u32::MAX;
+/// Set on a slot's position when its child's row is recomputed this
+/// refresh; [`NONE`] carries it too, so one test finds stale partners.
+const FRESH: u32 = 1 << 31;
+
+/// Hull volumes of one parent's sibling pairs and each child's two
+/// hull-nearest siblings, valid for the children snapshot of the
+/// [`FixpointCache`] that holds it (module docs). Maintained only while the
+/// parent has more children than the exhaustive threshold.
+#[derive(Debug, Default)]
+pub(crate) struct HullTable {
+    /// Slot of each child of the last refresh, children order. A slot is
+    /// cache-local: removed children free theirs, added children reuse them.
+    slots: Vec<u32>,
+    /// Slots no child holds.
+    free: Vec<u32>,
+    /// Number of slots: the row stride of `vols`. 0 when the last refresh
+    /// did not maintain the table; every child then counts as changed.
+    stride: usize,
+    /// `vols[s·stride + t]`: volume of the hull of the children in slots
+    /// `s` and `t`, the product taken with the earlier child's bounds first.
+    vols: Vec<f64>,
+    /// Per slot: the child's two least `(growth, position)` partners, as
+    /// `(growth, partner slot)`.
+    best2: Vec<[(f64, u32); 2]>,
+}
+
+/// Hull growth of a pair with hull volume `v` as seen by a child of volume
+/// `v_own` with partner volume `v_other`: the owner's volume is subtracted
+/// first, as the original all-pairs loop did for each side (the two orders
+/// can differ in the last ulp).
+fn growth(v: f64, v_own: f64, v_other: f64) -> f64 {
+    let g = v - v_own - v_other;
+    debug_assert!(!g.is_nan(), "NaN hull growth");
+    g
+}
+
+/// Offers the partner at position `pos` (slot `slot`, growth `g`) to a
+/// best-2 row whose entries sit at positions `at`. The row keeps the two
+/// least `(growth, position)` under plain `<`: offered in ascending
+/// position, that is the all-pairs loop's strict-`<` update.
+fn offer(best: &mut [(f64, u32); 2], at: &mut [u32; 2], g: f64, slot: u32, pos: u32) {
+    let before = |e: (f64, u32), p: u32| g < e.0 || (g == e.0 && pos < p);
+    if before(best[0], at[0]) {
+        best[1] = best[0];
+        at[1] = at[0];
+        best[0] = (g, slot);
+        at[0] = pos;
+    } else if before(best[1], at[1]) {
+        best[1] = (g, slot);
+        at[1] = pos;
+    }
+}
+
+impl HullTable {
+    /// Brings the table up to date with the parent's current children
+    /// `kids` (box volumes `child_vols`): carries the slots of unchanged
+    /// children (`prev_pos[j]`, their position at the last refresh, else
+    /// [`NONE`]), recomputes the hull volumes of every changed child, and
+    /// fixes the best-2 rows. Leaves each slot's current position, tagged
+    /// [`FRESH`] for changed children, in `slot_pos`, and the positions of
+    /// changed children in `fresh`. Returns the hull volumes computed.
+    #[allow(clippy::too_many_arguments)]
+    fn refresh(
+        &mut self,
+        arena: &BucketArena,
+        kids: &[BucketId],
+        child_vols: &[f64],
+        prev_pos: &[u32],
+        slot_pos: &mut Vec<u32>,
+        fresh: &mut Vec<u32>,
+    ) -> u64 {
+        let k = kids.len();
+        slot_pos.clear();
+        slot_pos.resize(self.stride, NONE);
+        if self.stride > 0 {
+            for (j, &p) in prev_pos.iter().enumerate() {
+                if p != NONE {
+                    slot_pos[self.slots[p as usize] as usize] = j as u32;
+                }
+            }
+            self.free.extend(self.slots.iter().copied().filter(|&s| slot_pos[s as usize] == NONE));
+        }
+        self.slots.clear();
+        self.slots.resize(k, NONE);
+        for (s, &j) in slot_pos.iter().enumerate() {
+            if j != NONE {
+                self.slots[j as usize] = s as u32;
+            }
+        }
+        fresh.clear();
+        fresh.extend((0..k as u32).filter(|&j| self.slots[j as usize] == NONE));
+        if fresh.len() > self.free.len() {
+            self.grow(self.stride + fresh.len() - self.free.len());
+            slot_pos.resize(self.stride, NONE);
+        }
+        for &j in fresh.iter() {
+            let s = self.free.pop().expect("grown to fit");
+            self.slots[j as usize] = s;
+            slot_pos[s as usize] = j | FRESH;
+        }
+
+        // Hull volumes of every pair with a changed child, each computed
+        // once, with the earlier position's bounds first (as the all-pairs
+        // loop did; unchanged children keep their relative order).
+        let n = arena.bounds(kids[0]).len() / 2;
+        let stride = self.stride;
+        let mut computed = 0u64;
+        for &c in fresh.iter() {
+            let c = c as usize;
+            let sc = self.slots[c] as usize;
+            for x in 0..k {
+                let sx = self.slots[x] as usize;
+                if x == c || (x < c && slot_pos[sx] & FRESH != 0) {
+                    continue;
+                }
+                let (bi, bj) = if x < c {
+                    (arena.bounds(kids[x]), arena.bounds(kids[c]))
+                } else {
+                    (arena.bounds(kids[c]), arena.bounds(kids[x]))
+                };
+                let mut v = 1.0;
+                for d in 0..n {
+                    v *= bi[n + d].max(bj[n + d]) - bi[d].min(bj[d]);
+                }
+                self.vols[sc * stride + sx] = v;
+                self.vols[sx * stride + sc] = v;
+                computed += 1;
+            }
+        }
+
+        // Best-2 rows. A row is rescanned when it is changed or one of its
+        // two partners is; otherwise its partners are still its two least
+        // among the unchanged children, so only the changed ones are
+        // offered, under the same `(growth, position)` order.
+        let stale = |s: u32| slot_pos.get(s as usize).is_none_or(|&p| p & FRESH != 0);
+        for r in 0..k {
+            let sr = self.slots[r] as usize;
+            let row = &self.vols[sr * stride..(sr + 1) * stride];
+            let v_r = child_vols[r];
+            let best = &mut self.best2[sr];
+            let offer_at = |best: &mut [(f64, u32); 2], at: &mut [u32; 2], x: usize| {
+                let sx = self.slots[x];
+                offer(best, at, growth(row[sx as usize], v_r, child_vols[x]), sx, x as u32);
+            };
+            if stale(sr as u32) || stale(best[0].1) || stale(best[1].1) {
+                *best = [(f64::INFINITY, NONE); 2];
+                let mut at = [NONE; 2];
+                (0..k).filter(|&x| x != r).for_each(|x| offer_at(best, &mut at, x));
+            } else {
+                let mut at = [slot_pos[best[0].1 as usize], slot_pos[best[1].1 as usize]];
+                fresh.iter().for_each(|&c| offer_at(best, &mut at, c as usize));
+            }
+        }
+        computed
+    }
+
+    /// The candidate pairs of a refreshed table: each child's `cap.min(2)`
+    /// best partners plus the `max(8·cap, 16)` least-growth pairs, sorted
+    /// and deduplicated. `slot_pos` maps slots to current positions.
+    fn candidate_pairs(
+        &self,
+        kids: &[BucketId],
+        child_vols: &[f64],
+        slot_pos: &[u32],
+        cap: usize,
+        pairs: &mut Vec<(u32, u32)>,
+        pair_buf: &mut Vec<(f64, u32, u32)>,
+    ) {
+        let k = kids.len();
+        let push_id_ordered = |pairs: &mut Vec<(u32, u32)>, i: u32, j: u32| {
+            if kids[i as usize] < kids[j as usize] {
+                pairs.push((i, j));
+            } else {
+                pairs.push((j, i));
+            }
+        };
+        // Per-child best neighbors keep isolated children mergeable; a small
+        // global top-up catches cheap pairs clustered in one region.
+        pairs.clear();
+        for &s in &self.slots {
+            let i = slot_pos[s as usize] & !FRESH;
+            for &(_, partner) in self.best2[s as usize].iter().take(cap.min(2)) {
+                if partner != NONE {
+                    push_id_ordered(pairs, i, slot_pos[partner as usize] & !FRESH);
+                }
+            }
+        }
+        // The top-up keeps the `global_top` least growths. `pair_buf` is
+        // built in the all-pairs loop's `(i, j)` order and selected with the
+        // same `select_nth_unstable_by`, so ties at the boundary keep the
+        // same pairs that loop kept.
+        pair_buf.clear();
+        for i in 0..k {
+            let row = &self.vols[self.slots[i] as usize * self.stride..];
+            for j in i + 1..k {
+                let g = growth(row[self.slots[j] as usize], child_vols[i], child_vols[j]);
+                pair_buf.push((g, i as u32, j as u32));
+            }
+        }
+        let global_top = (cap * 8).max(16);
+        if pair_buf.len() > global_top {
+            pair_buf.select_nth_unstable_by(global_top, |a, b| a.0.partial_cmp(&b.0).unwrap());
+            pair_buf.truncate(global_top);
+        }
+        for &(_, i, j) in pair_buf.iter() {
+            push_id_ordered(pairs, i, j);
+        }
+        // Positions map 1:1 to ids, and the orientation above is canonical,
+        // so duplicates are textual and sort+dedup removes them all.
+        pairs.sort_unstable();
+        pairs.dedup();
+    }
+
+    /// Widens the table to `stride` slots, keeping every row.
+    fn grow(&mut self, stride: usize) {
+        let old = self.stride;
+        self.vols.resize(stride * stride, 0.0);
+        for s in (0..old).rev() {
+            self.vols.copy_within(s * old..(s + 1) * old, s * stride);
+        }
+        self.best2.resize(stride, [(f64::INFINITY, NONE); 2]);
+        self.free.extend((old..stride).rev().map(|s| s as u32));
+        self.stride = stride;
+    }
+
+    /// Drops the table; the next refresh rebuilds it from scratch.
+    fn clear(&mut self) {
+        *self = Self::default();
+    }
 }
 
 /// The geometry of one cached sibling pair `(a, b)`.
@@ -280,21 +555,31 @@ impl FixpointCache {
     /// children: drops every pair a changed child may affect (validity
     /// rule in the module docs) or that went unused since the last call,
     /// indexes the survivors by their current positions, and snapshots
-    /// `kids`.
-    fn revalidate(&mut self, arena: &BucketArena, kids: &[BucketId], pos_of: &mut Vec<u32>, changed: &mut Vec<f64>) {
+    /// `kids`. Leaves in `prev_pos[j]` the position child `j` had in the
+    /// old snapshot when it is unchanged, [`NONE`] otherwise — the diff the
+    /// hull table reuses.
+    fn revalidate(
+        &mut self,
+        arena: &BucketArena,
+        kids: &[BucketId],
+        pos_of: &mut Vec<u32>,
+        changed: &mut Vec<f64>,
+        prev_pos: &mut Vec<u32>,
+    ) {
         // `pos_of[c]` ends up as c's position when c is unchanged, and
         // with the OLD bit set otherwise (NONE included).
-        const NONE: u32 = u32::MAX;
         const OLD: u32 = 1 << 31;
         let span = arena.bounds(kids[0]).len();
         let n = span / 2;
         pos_of.clear();
         pos_of.resize(arena.slot_count(), NONE);
         changed.clear();
+        prev_pos.clear();
         let old_box = |i: usize| &self.kid_bounds[i * span..(i + 1) * span];
         for (i, &o) in self.kids.iter().enumerate() {
             pos_of[o] = OLD | i as u32;
         }
+        let mut last_kept = None;
         for (j, &c) in kids.iter().enumerate() {
             let cur = arena.bounds(c);
             let p = pos_of[c];
@@ -302,9 +587,15 @@ impl FixpointCache {
                 && p & OLD != 0
                 && cur.iter().zip(old_box((p & !OLD) as usize)).all(|(x, y)| x.to_bits() == y.to_bits());
             if same {
+                // Child-list edits are retain plus append, so unchanged
+                // children keep their relative order; both caches rely on it.
+                debug_assert!(last_kept.is_none_or(|q| q < p & !OLD), "children reordered under the cache");
+                last_kept = Some(p & !OLD);
                 pos_of[c] = j as u32;
+                prev_pos.push(p & !OLD);
             } else {
                 changed.extend_from_slice(cur);
+                prev_pos.push(NONE);
             }
         }
         for (i, &o) in self.kids.iter().enumerate() {
@@ -616,7 +907,6 @@ impl StHoles {
             pairs,
             pair_order,
             pair_buf,
-            best2,
             bn_lo,
             bn_hi,
             sib_parts,
@@ -624,6 +914,9 @@ impl StHoles {
             active,
             pos_of,
             changed,
+            prev_pos,
+            slot_pos,
+            fresh,
             ..
         } = scratch;
         let bucket = self.arena.get(id);
@@ -652,9 +945,14 @@ impl StHoles {
         }
         let prune = fixpoints.is_some();
         if let Some(fc) = fixpoints.as_deref_mut() {
-            fc.revalidate(&self.arena, kids, pos_of, changed);
+            fc.revalidate(&self.arena, kids, pos_of, changed, prev_pos);
         }
-        self.sibling_pair_positions(id, pairs, pair_buf, best2);
+        let mut uncached = HullTable::default();
+        let table = fixpoints.as_deref_mut().map_or(&mut uncached, |fc| &mut fc.hulls);
+        let hulls = self.sibling_pair_positions(id, table, prev_pos, child_vols, pairs, pair_buf, slot_pos, fresh);
+        if prune {
+            obs::add(obs::Counter::SiblingHullsComputed, hulls);
+        }
         if pairs.is_empty() {
             return entry;
         }
@@ -763,105 +1061,47 @@ impl StHoles {
     }
 
     /// Fills `pairs` with the sibling pairs worth evaluating under
-    /// `parent`, as positions into its children list. Small child lists are
-    /// searched exhaustively; large ones are pruned to each child's
-    /// `sibling_neighbor_cap` hull-nearest siblings (see
-    /// [`crate::SthConfig`]) plus a global top-up of the cheapest pairs.
+    /// `parent`, as positions into its children list, and returns the hull
+    /// volumes it computed. Up to `2·max(cap, 2)` children every pair is a
+    /// candidate. Above that, each child contributes its `cap.min(2)`
+    /// hull-nearest siblings (least hull growth; `best2` holds two) and a
+    /// global top-up adds the `max(8·cap, 16)` least-growth pairs, from the
+    /// parent's [`HullTable`]: O(k·changed·d) hull volumes plus an O(k²)
+    /// subtraction pass per refresh, where `changed` counts the children
+    /// that are new or have a new box since the last one (all of them on
+    /// the oracle's empty table).
     ///
     /// Deterministic: pruned candidates are sorted by position (the
     /// original collected them in a `HashSet`, making tie-breaks among
     /// equal penalties run-to-run random).
+    #[allow(clippy::too_many_arguments)]
     fn sibling_pair_positions(
         &self,
         parent: BucketId,
+        table: &mut HullTable,
+        prev_pos: &[u32],
+        child_vols: &[f64],
         pairs: &mut Vec<(u32, u32)>,
         pair_buf: &mut Vec<(f64, u32, u32)>,
-        best2: &mut Vec<[(f64, u32); 2]>,
-    ) {
+        slot_pos: &mut Vec<u32>,
+        fresh: &mut Vec<u32>,
+    ) -> u64 {
         pairs.clear();
         let kids = &self.arena.get(parent).children;
         let k = kids.len();
-        if k < 2 {
-            return;
-        }
         let cap = self.config.sibling_neighbor_cap;
-        let exhaustive = match cap {
-            None => true,
-            Some(cap) => k <= cap.max(2) * 2,
-        };
-        if exhaustive {
+        if k < 2 || cap.is_none_or(|cap| k <= cap.max(2) * 2) {
+            table.clear();
             for i in 0..k as u32 {
                 for j in i + 1..k as u32 {
                     pairs.push((i, j));
                 }
             }
-            return;
+            return 0;
         }
-        let cap = cap.unwrap();
-        // Hull growth = vol(hull(a,b)) − vol(a) − vol(b): a cheap proxy for
-        // how much foreign volume a merge would absorb. This proxy loop is
-        // O(children²) per cache refresh and dominates merge-search cost on
-        // flat trees, so it runs on the packed bounds / cached volumes.
-        let n = self.arena.bounds(kids[0]).len() / 2;
-        pair_buf.clear();
-        best2.clear();
-        best2.resize(k, [(f64::INFINITY, u32::MAX); 2]);
-        // Per-child best neighbors keep isolated children mergeable; a small
-        // global top-up catches cheap pairs clustered in one region.
-        let update = |best: &mut [(f64, u32); 2], g: f64, j: u32| {
-            if g < best[0].0 {
-                best[1] = best[0];
-                best[0] = (g, j);
-            } else if g < best[1].0 {
-                best[1] = (g, j);
-            }
-        };
-        for i in 0..k {
-            let bi = self.arena.bounds(kids[i]);
-            let v_i = self.arena.volume_of(kids[i]);
-            for j in i + 1..k {
-                let bj = self.arena.bounds(kids[j]);
-                let v_j = self.arena.volume_of(kids[j]);
-                let mut v = 1.0;
-                for d in 0..n {
-                    v *= bi[n + d].max(bj[n + d]) - bi[d].min(bj[d]);
-                }
-                // Both subtraction orders: each child sees the growth with
-                // its own volume subtracted first, exactly as the original
-                // full j-loop computed it (the two differ in the last ulp).
-                let g_ij = v - v_i - v_j;
-                let g_ji = v - v_j - v_i;
-                pair_buf.push((g_ij, i as u32, j as u32));
-                update(&mut best2[i], g_ij, j as u32);
-                update(&mut best2[j], g_ji, i as u32);
-            }
-        }
-        let push_id_ordered = |pairs: &mut Vec<(u32, u32)>, i: u32, j: u32| {
-            if kids[i as usize] < kids[j as usize] {
-                pairs.push((i, j));
-            } else {
-                pairs.push((j, i));
-            }
-        };
-        for i in 0..k {
-            for &(_, j) in best2[i].iter().take(cap.min(2)) {
-                if j != u32::MAX {
-                    push_id_ordered(pairs, i as u32, j);
-                }
-            }
-        }
-        let global_top = (cap * 8).max(16);
-        if pair_buf.len() > global_top {
-            pair_buf.select_nth_unstable_by(global_top, |a, b| a.0.partial_cmp(&b.0).unwrap());
-            pair_buf.truncate(global_top);
-        }
-        for &(_, i, j) in pair_buf.iter() {
-            push_id_ordered(pairs, i, j);
-        }
-        // Positions map 1:1 to ids, and the orientation above is canonical,
-        // so duplicates are textual and sort+dedup removes them all.
-        pairs.sort_unstable();
-        pairs.dedup();
+        let computed = table.refresh(&self.arena, kids, child_vols, prev_pos, slot_pos, fresh);
+        table.candidate_pairs(kids, child_vols, slot_pos, cap.unwrap(), pairs, pair_buf);
+        computed
     }
 
     /// Box-extension fixpoint of merging the children at positions `pi`,
@@ -1374,6 +1614,100 @@ mod tests {
         Ok(checked)
     }
 
+    /// The candidate selection the hull table replaces, computed from
+    /// scratch: every hull volume by a fresh d-product (row-major, `k × k`),
+    /// best-2 rows as `(growth, partner position)` by a strict-`<` scan in
+    /// position order, and the pairs with the global top-up selected over
+    /// every pair in `(i, j)` order.
+    #[allow(clippy::type_complexity)]
+    fn uncached_candidates(h: &StHoles, id: BucketId, cap: usize) -> (Vec<f64>, Vec<[(f64, u32); 2]>, Vec<(u32, u32)>) {
+        let kids = &h.arena.get(id).children;
+        let k = kids.len();
+        let n = h.arena.bounds(kids[0]).len() / 2;
+        let mut vols = vec![0.0; k * k];
+        let mut best2 = vec![[(f64::INFINITY, u32::MAX); 2]; k];
+        let mut all = Vec::new();
+        for i in 0..k {
+            let (bi, v_i) = (h.arena.bounds(kids[i]), h.arena.volume_of(kids[i]));
+            for j in i + 1..k {
+                let (bj, v_j) = (h.arena.bounds(kids[j]), h.arena.volume_of(kids[j]));
+                let mut v = 1.0;
+                for d in 0..n {
+                    v *= bi[n + d].max(bj[n + d]) - bi[d].min(bj[d]);
+                }
+                vols[i * k + j] = v;
+                vols[j * k + i] = v;
+                all.push((v - v_i - v_j, i as u32, j as u32));
+                for (row, g, partner) in [(i, v - v_i - v_j, j), (j, v - v_j - v_i, i)] {
+                    let best = &mut best2[row];
+                    if g < best[0].0 {
+                        best[1] = best[0];
+                        best[0] = (g, partner as u32);
+                    } else if g < best[1].0 {
+                        best[1] = (g, partner as u32);
+                    }
+                }
+            }
+        }
+        let ordered = |i: u32, j: u32| if kids[i as usize] < kids[j as usize] { (i, j) } else { (j, i) };
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        for (i, best) in best2.iter().enumerate() {
+            pairs.extend(best.iter().take(cap.min(2)).filter(|e| e.1 != u32::MAX).map(|e| ordered(i as u32, e.1)));
+        }
+        let global_top = (cap * 8).max(16);
+        if all.len() > global_top {
+            all.select_nth_unstable_by(global_top, |a, b| a.0.partial_cmp(&b.0).unwrap());
+            all.truncate(global_top);
+        }
+        pairs.extend(all.iter().map(|&(_, i, j)| ordered(i, j)));
+        pairs.sort_unstable();
+        pairs.dedup();
+        (vols, best2, pairs)
+    }
+
+    /// Refreshes the merge cache, then checks every live hull table
+    /// against [`uncached_candidates`]: each cached hull volume equals a
+    /// fresh d-product bit for bit, each best-2 row holds the same growths
+    /// (`to_bits`) and partners, and the table yields the same candidate
+    /// pairs. Returns the number of tables checked.
+    fn assert_growth_cache_coherent(h: &mut StHoles) -> Result<usize, TestCaseError> {
+        h.refresh_merge_accel();
+        let mut checked = 0;
+        for (id, fc) in h.merge_accel.fixpoints.iter().enumerate() {
+            let t = &fc.hulls;
+            if t.stride == 0 {
+                continue;
+            }
+            prop_assert!(h.arena.contains(id), "hull table kept for dead parent {id}");
+            let kids = &h.arena.get(id).children;
+            let k = kids.len();
+            let cap = h.config.sibling_neighbor_cap.expect("a live table needs a cap");
+            prop_assert!(k > 2 * cap.max(2), "hull table kept under {id} with only {k} children");
+            prop_assert_eq!(t.slots.len(), k);
+            let mut slot_pos = vec![NONE; t.stride];
+            for (j, &s) in t.slots.iter().enumerate() {
+                prop_assert_eq!(slot_pos[s as usize], NONE, "slot {} held twice under {}", s, id);
+                slot_pos[s as usize] = j as u32;
+            }
+            let (vols, best2, pairs) = uncached_candidates(h, id, cap);
+            for (i, &si) in t.slots.iter().enumerate() {
+                for (j, &sj) in t.slots.iter().enumerate().filter(|&(j, _)| j != i) {
+                    let cached = t.vols[si as usize * t.stride + sj as usize];
+                    prop_assert_eq!(cached.to_bits(), vols[i * k + j].to_bits(), "hull ({}, {}) under {}", i, j, id);
+                }
+                let row = t.best2[si as usize].map(|(g, s)| (g.to_bits(), slot_pos[s as usize]));
+                let fresh = best2[i].map(|(g, p)| (g.to_bits(), p));
+                prop_assert_eq!(row, fresh, "best-2 row of child {} under {}", i, id);
+            }
+            let child_vols: Vec<f64> = kids.iter().map(|&c| h.arena.volume_of(c)).collect();
+            let (mut cached_pairs, mut buf) = (Vec::new(), Vec::new());
+            t.candidate_pairs(kids, &child_vols, &slot_pos, cap, &mut cached_pairs, &mut buf);
+            prop_assert_eq!(cached_pairs, pairs, "candidate pairs under {}", id);
+            checked += 1;
+        }
+        Ok(checked)
+    }
+
     /// A root with 20 grid-aligned children, as in `merge_oracle.rs`: the
     /// 20×20 cells of the first four columns of a 5×5 grid, each drilled
     /// from `per_row[row]` points per cell, so equal-density neighbours tie.
@@ -1452,6 +1786,50 @@ mod tests {
             for q in &stream {
                 h.refine(q, &counter);
                 assert_fixpoint_cache_coherent(&mut h)?;
+            }
+        }
+
+        #[test]
+        fn growth_cache_matches_uncached_candidates(
+            points in collection::vec((0.0f64..100.0, 0.0f64..100.0), 10..150),
+            grid in collection::vec(grid_query(), 1..40),
+            free in collection::vec(free_query(), 0..20),
+            budget in 6usize..24,
+            cap in 0usize..4,
+        ) {
+            // Caps of at most 3 keep the table live from five or seven
+            // children on, well within the budgets.
+            let rows: Vec<Vec<f64>> = points.iter().map(|&(x, y)| vec![x, y]).collect();
+            let total = rows.len() as f64;
+            let counter = ResultSetCounter::new(rows);
+            let mut h = StHoles::with_total(domain(), budget, total);
+            h.config.sibling_neighbor_cap = Some(cap);
+            let mut stream = Vec::new();
+            for (i, g) in grid.iter().enumerate() {
+                stream.push(g.clone());
+                stream.extend(free.get(i).cloned());
+            }
+            for q in &stream {
+                h.refine(q, &counter);
+                assert_growth_cache_coherent(&mut h)?;
+            }
+        }
+
+        #[test]
+        fn growth_cache_matches_uncached_candidates_on_tie_heavy_grids(
+            per_row in collection::vec(1usize..=8, 5),
+            policy in 0u8..2,
+            cap in 1usize..=6,
+        ) {
+            let mut h = tie_heavy_grid(&per_row);
+            h.config.sibling_neighbor_cap = Some(cap);
+            if policy == 1 {
+                h.set_merge_policy(crate::MergePolicy::SiblingFirst);
+            }
+            prop_assert!(assert_growth_cache_coherent(&mut h)? > 0, "20 children, yet no live hull table");
+            while h.bucket_count() > 2 {
+                h.set_budget(h.bucket_count() - 1);
+                assert_growth_cache_coherent(&mut h)?;
             }
         }
 

@@ -36,8 +36,6 @@ pub(crate) struct RefineScratch {
     pub pair_order: Vec<(f64, u32)>,
     /// (hull growth, i, j) triples for sibling-pair pruning.
     pub pair_buf: Vec<(f64, u32, u32)>,
-    /// Two best merge partners per child during sibling-pair pruning.
-    pub best2: Vec<[(f64, u32); 2]>,
     /// Low corner of the tentative merged sibling box.
     pub bn_lo: Vec<f64>,
     /// High corner of the tentative merged sibling box.
@@ -57,4 +55,11 @@ pub(crate) struct RefineScratch {
     /// Packed boxes of the children added or removed since that cache was
     /// filled.
     pub changed: Vec<f64>,
+    /// Per child: its position when that cache was filled if unchanged
+    /// since, else `u32::MAX`.
+    pub prev_pos: Vec<u32>,
+    /// Per hull-table slot: the current position of the child holding it.
+    pub slot_pos: Vec<u32>,
+    /// Positions of the children whose hull-table rows are recomputed.
+    pub fresh: Vec<u32>,
 }

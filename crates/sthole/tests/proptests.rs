@@ -337,3 +337,51 @@ check! {
         prop_assert!(h.estimate(&grown) + 1e-6 >= h.estimate(&probe));
     }
 }
+
+check! {
+    cases = 12;
+
+    /// A domain of volume 1e300 learns like any other; one whose volume
+    /// overflows `f64` (1e320) is refused by the constructors and by the
+    /// decoder. Before the refusal, the overflowing domain was accepted and
+    /// never drilled a hole: every own volume was infinite, so every
+    /// candidate hole counted as a sliver.
+    #[test]
+    fn huge_domains_learn_and_overflowing_ones_are_refused(
+        points in collection::vec((0.0f64..1.0, 0.0f64..1.0), 100..300),
+        queries in collection::vec((0.0f64..0.8, 0.0f64..0.8, 0.05f64..0.2, 0.05f64..0.2), 40..120),
+    ) {
+        let scale = 1e150;
+        let domain = Rect::cube(2, 0.0, scale);
+        let xs = points.iter().map(|p| p.0 * scale).collect();
+        let ys = points.iter().map(|p| p.1 * scale).collect();
+        let ds = Dataset::from_columns("huge", domain.clone(), vec![xs, ys]);
+        let counter = ScanCounter::new(&ds);
+        let mut h = StHoles::with_total(domain.clone(), 20, ds.len() as f64);
+        for &(x, y, w, hgt) in &queries {
+            h.refine(&Rect::from_bounds(&[x * scale, y * scale], &[(x + w) * scale, (y + hgt) * scale]), &counter);
+        }
+        prop_assert!(h.bucket_count() > 0, "no bucket learned over [0, 1e150)²");
+        prop_assert!(h.check_invariants().is_ok());
+        prop_assert!(h.estimate(&domain).is_finite());
+
+        let overflowing = Rect::cube(2, 0.0, 1e160);
+        prop_assert!(std::panic::catch_unwind(|| StHoles::with_total(overflowing.clone(), 20, 1.0)).is_err());
+        prop_assert!(std::panic::catch_unwind(|| StHoles::new(overflowing.clone(), 20)).is_err());
+        // The same image with the domain's and the root's upper bounds
+        // rewritten to 1e160 decodes no more.
+        let fresh = StHoles::with_total(domain, 20, 1.0).to_bytes();
+        let (from, to) = (scale.to_le_bytes(), 1e160f64.to_le_bytes());
+        let mut forged = fresh.clone();
+        let mut rewritten = 0;
+        for at in 0..forged.len() - 7 {
+            if forged[at..at + 8] == from {
+                forged[at..at + 8].copy_from_slice(&to);
+                rewritten += 1;
+            }
+        }
+        prop_assert_eq!(rewritten, 4);
+        prop_assert!(StHoles::from_bytes(&fresh).is_ok());
+        prop_assert!(matches!(StHoles::from_bytes(&forged), Err(sth_histogram::DecodeError::Corrupt(_))));
+    }
+}
